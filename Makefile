@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-parallel test-chaos test-serve test-overload bench bench-tree bench-kernel bench-parallel serve-bench bench-overload bench-adaptive obs-smoke perf-smoke selftest experiments report examples clean
+.PHONY: install test test-parallel test-chaos test-serve test-overload bench bench-tree bench-kernel bench-parallel serve-bench bench-overload bench-adaptive obs-smoke perf-smoke perfbench selftest experiments report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -81,6 +81,11 @@ obs-smoke:
 # CI timing gate: generous multiple of benchmarks/baselines/tree_smoke.json.
 perf-smoke:
 	cd benchmarks && $(PYTHON) perf_smoke.py
+
+# One run of the repository benchmark (perfbench/README.md), e.g.
+# `make perfbench W=hot-serve SEED=401`; prints the record as JSON.
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace 0
 
 selftest:
 	$(PYTHON) -m repro selftest

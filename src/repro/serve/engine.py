@@ -71,6 +71,9 @@ the rest wait for it.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
+import operator
 import threading
 import time
 import warnings
@@ -97,7 +100,7 @@ from repro.errors import (
 )
 from repro.graph.digraph import DiGraph
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.walks.kernel import WalkCrashKernel
+from repro.walks.kernel import SAMPLERS, WalkCrashKernel
 
 __all__ = [
     "Engine",
@@ -403,20 +406,70 @@ class QueryRequest:
         sampler: str = "cdf",
         top_k: Optional[int] = None,
     ) -> "QueryRequest":
+        """Validate and normalise one request's fields.
+
+        Every field may come straight off the wire (decoded JSON), so
+        types are checked rather than coerced: ``1.5``, ``"3"`` and
+        ``True`` are not node ids.  Any bad field raises
+        :class:`~repro.errors.ParameterError`.
+        """
         if candidates is not None:
-            candidates = tuple(int(node) for node in candidates)
-        if deadline is not None and deadline <= 0:
-            raise ParameterError(f"deadline must be positive, got {deadline}")
-        if top_k is not None and top_k < 1:
-            raise ParameterError(f"top_k must be positive, got {top_k}")
+            try:
+                nodes = tuple(candidates)
+            except TypeError:
+                raise ParameterError(
+                    f"candidates must be a list of node ids, got {candidates!r}"
+                ) from None
+            # One cheap pass accepts decoded JSON; anything else (NumPy
+            # integers, bad entries) goes through the per-node check.
+            if not all(type(node) is int and node >= 0 for node in nodes):
+                nodes = tuple(_check_index("candidate", node) for node in nodes)
+            candidates = nodes
+        if deadline is not None:
+            deadline = _check_deadline(deadline)
+        if sampler not in SAMPLERS:
+            raise ParameterError(
+                f"unknown sampler {sampler!r}; expected one of {SAMPLERS}"
+            )
+        if top_k is not None:
+            top_k = _check_index("top_k", top_k)
+            if top_k < 1:
+                raise ParameterError(f"top_k must be positive, got {top_k}")
         return QueryRequest(
-            source=int(source),
+            source=_check_index("source", source),
             candidates=candidates,
-            seed=None if seed is None else int(seed),
+            seed=None if seed is None else _check_index("seed", seed),
             deadline=deadline,
             sampler=sampler,
             top_k=top_k,
         )
+
+
+def _check_index(name: str, value: object) -> int:
+    """``value`` as a non-negative int; bools and floats are rejected."""
+    try:
+        index = -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ParameterError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
+    return index
+
+
+def _check_deadline(value: object) -> float:
+    """``value`` as a deadline budget: a positive, finite number of seconds."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ParameterError(
+            f"deadline must be a positive, finite number of seconds, got {value!r}"
+        )
+    return float(value)
 
 
 @dataclass

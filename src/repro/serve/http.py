@@ -6,6 +6,10 @@ engine's queue, and the engine's single dispatcher does the actual scoring
 — so the batching window naturally coalesces whatever concurrent HTTP
 clients send.  This is the process behind ``repro serve``.
 
+Every response — status line, headers and body — leaves in one socket
+write on a ``TCP_NODELAY`` connection, so no part of it waits on the
+client's delayed ACK (``_Handler._send``).
+
 Endpoints
 ---------
 ``POST /v1/query``
@@ -21,7 +25,11 @@ Endpoints
     shipping a multi-megabyte vector.
 
     Status codes: ``200`` answered (possibly degraded — check the body);
-    ``400`` malformed; ``429`` shed by admission control, with a
+    ``400`` malformed — bad JSON, a bad ``Content-Length``, ``source`` /
+    ``seed`` not a non-negative integer, ``candidates`` not a list of
+    them, ``top_k`` not a positive integer, an unknown ``sampler``, or a
+    body or header deadline that is not a finite number; ``429`` shed by
+    admission control, with a
     ``Retry-After`` header from the engine's measured service rate;
     ``503`` engine shut down; ``504`` deadline expired with nothing to
     salvage.
@@ -62,7 +70,7 @@ from repro.errors import (
     EngineOverloadedError,
     ReproError,
 )
-from repro.serve.engine import Engine
+from repro.serve.engine import Engine, _check_deadline
 
 __all__ = ["create_server", "serve_forever", "DENSE_RESPONSE_LIMIT", "DEADLINE_HEADER"]
 
@@ -77,6 +85,10 @@ DENSE_RESPONSE_LIMIT = 10_000
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  Each response below is
+    # already one write; this keeps any future multi-write reply from
+    # waiting on the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # The engine rides on the server object (see create_server).
     @property
@@ -87,6 +99,36 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        retry_after: Optional[float] = None,
+    ) -> None:
+        """Write the status line, headers and body as one socket write.
+
+        The stdlib's ``end_headers`` + ``wfile.write`` pair is two sends:
+        under Nagle's algorithm the small body then waits for the client's
+        delayed ACK of the headers, ~40 ms per response on Linux.
+        """
+        self.log_request(status)
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        if retry_after is not None:
+            # Retry-After is whole seconds on the wire; round up so a
+            # compliant client never comes back before capacity frees.
+            lines.append(f"Retry-After: {max(1, math.ceil(retry_after))}")
+        if self.close_connection:
+            lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + body)
+
     def _reply(
         self,
         status: int,
@@ -95,15 +137,14 @@ class _Handler(BaseHTTPRequestHandler):
         retry_after: Optional[float] = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # Retry-After is whole seconds on the wire; round up so a
-            # compliant client never comes back before capacity frees.
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, "application/json", retry_after)
+
+    def send_error(self, code, message=None, explain=None):
+        # The stdlib's own rejections (bad request line, unsupported
+        # method, oversized headers): a JSON error in one write, and the
+        # connection closes, as the stdlib would.
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses[code][0]})
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         if self.path == "/healthz":
@@ -130,24 +171,33 @@ class _Handler(BaseHTTPRequestHandler):
             body = obs.render_prometheus(*self.engine.registries()).encode(
                 "utf-8"
             )
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
             return
         self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        raw_length = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Without a length the body's end is unknown, so the
+            # connection cannot carry another request.
+            self.close_connection = True
+            self._reply(
+                400, {"error": f"malformed Content-Length {raw_length!r}"}
+            )
+            return
+        # Read the body even for an unknown path: left unread, it would
+        # be parsed as the connection's next request.
+        body = self.rfile.read(length)
         if self.path != "/v1/query":
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
+            payload = json.loads(body or b"{}")
+        except ValueError as exc:  # bad JSON or bad UTF-8
             self._reply(400, {"error": f"malformed request body: {exc}"})
             return
         if not isinstance(payload, dict) or "source" not in payload:
@@ -161,39 +211,42 @@ class _Handler(BaseHTTPRequestHandler):
             and self.engine.graph.num_nodes > DENSE_RESPONSE_LIMIT
         ):
             top_k = 100
-        deadline = payload.get("deadline")
         header_deadline = self.headers.get(DEADLINE_HEADER)
         if header_deadline is not None:
             try:
-                header_deadline = float(header_deadline)
+                header_budget = float(header_deadline)
             except ValueError:
+                header_budget = math.nan
+            if not math.isfinite(header_budget):
                 self._reply(
                     400,
                     {
                         "error": f"malformed {DEADLINE_HEADER} header: "
-                        f"{header_deadline!r} is not a number"
+                        f"{header_deadline!r} is not a finite number"
                     },
                 )
                 return
-            if header_deadline <= 0:
+            if header_budget <= 0:
                 # The proxy says the budget is already gone: answer like
                 # any other expired deadline, without engine round-trip.
                 self._reply(
                     504,
                     {
                         "error": f"{DEADLINE_HEADER} budget already expired",
-                        "deadline": header_deadline,
+                        "deadline": header_budget,
                     },
                 )
                 return
-            deadline = (
-                header_deadline
-                if deadline is None
-                else min(float(deadline), header_deadline)
-            )
         try:
+            deadline = payload.get("deadline")
+            if header_deadline is not None:
+                deadline = (
+                    header_budget
+                    if deadline is None
+                    else min(_check_deadline(deadline), header_budget)
+                )
             result = self.engine.query(
-                int(payload["source"]),
+                payload["source"],
                 candidates=payload.get("candidates"),
                 seed=payload.get("seed"),
                 deadline=deadline,

@@ -94,6 +94,44 @@ class TestAnswers:
         assert result.scores.tobytes() == direct.tobytes()
 
 
+class TestRequestValidation:
+    def test_numpy_integers_are_accepted(self):
+        request = QueryRequest.make(
+            np.int64(3),
+            candidates=np.arange(5, 8),
+            seed=np.uint32(9),
+            deadline=np.float64(1.5),
+            top_k=np.int32(2),
+        )
+        assert request == QueryRequest(3, (5, 6, 7), 9, 1.5, "cdf", 2)
+        assert type(request.source) is int and type(request.seed) is int
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"source": 1.5},
+            {"source": True},
+            {"source": "3"},
+            {"seed": -5},
+            {"seed": 2.0},
+            {"candidates": "abc"},
+            {"candidates": 7},
+            {"candidates": [1, False]},
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
+            {"deadline": 0},
+            {"deadline": "1"},
+            {"top_k": 0},
+            {"top_k": "5"},
+            {"sampler": "bogus"},
+        ],
+    )
+    def test_bad_field_is_parameter_error(self, fields):
+        fields = {"source": 3, **fields}
+        with pytest.raises(ParameterError):
+            QueryRequest.make(fields.pop("source"), **fields)
+
+
 class TestWarmState:
     def test_tree_lru_hits_on_repeat_source(self, engine):
         engine.query(5, seed=1)
