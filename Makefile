@@ -84,8 +84,10 @@ perf-smoke:
 
 # One run of the repository benchmark (perfbench/README.md), e.g.
 # `make perfbench W=hot-serve SEED=401`; prints the record as JSON.
+# TRACE=1 adds the per-layer metrics (revreach.build_ms_per_op, ...).
+TRACE ?= 0
 perfbench:
-	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace 0
+	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace $(TRACE)
 
 selftest:
 	$(PYTHON) -m repro selftest

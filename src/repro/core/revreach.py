@@ -17,8 +17,10 @@ Representations
 mass ``(√c)^step`` spread over at most ``min(m, Δ^step)`` nodes — so the
 default representation is :class:`SparseReverseTree`: per-level sorted
 ``(nodes, probs)`` arrays packed CSR-style, built in ``O(touched)`` by
-frontier propagation.  Construction never allocates anything of size
-``O(n)``; equality tests (:meth:`SparseReverseTree.same_as`) fast-reject
+frontier propagation.  Construction allocates a length-``n`` row only for
+a level that flattens to at least ``n / 8`` children, where one ``O(n)``
+scan is cheaper than sorting them (:func:`_propagate_sparse`); equality
+tests (:meth:`SparseReverseTree.same_as`) fast-reject
 through per-level content fingerprints; and the crash-accumulation gather
 (:meth:`SparseReverseTree.gather`) binary-searches each level's support,
 falling back to a lazily materialised dense row only for levels whose
@@ -28,8 +30,8 @@ The legacy dense matrix form lives on as :class:`ReverseReachableTree`
 (``revreach_levels(..., dense=True)``, and :func:`revreach_queue` output);
 both classes expose ``.matrix`` / ``probability()`` / ``same_as`` so every
 consumer works with either.  Sparse and dense construction are bit-for-bit
-identical (property-tested): the sparse aggregation replays exactly the
-accumulation order of the dense scatter-add.
+identical (property-tested): both the sort and the scatter aggregation
+add each node's mass in the same order.
 
 Traversals
 ----------
@@ -50,7 +52,7 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Literal, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +77,13 @@ TreeVariant = Literal["corrected", "paper"]
 #: direct index costs ``O(walks)`` while searchsorted costs
 #: ``O(walks · log support)`` without saving meaningful memory.
 DENSITY_THRESHOLD = 0.25
+
+#: A level whose flattened child count is at least ``n / _SCATTER_DIVISOR``
+#: sums its duplicate children by scattering into a length-``n`` row
+#: (``O(total + n)``) instead of sorting them (``O(total log total)``);
+#: see :func:`_propagate_sparse`.  A pure function of sizes, so the branch
+#: a level takes never depends on its values — and never shows in them.
+_SCATTER_DIVISOR = 8
 
 _FINGERPRINT_BYTES = 16
 
@@ -492,6 +501,53 @@ def revreach_levels(
     return tree.to_dense() if dense else tree
 
 
+class _InEdgeBlock(NamedTuple):
+    """A frontier's in-edge CSR blocks, flattened in frontier order.
+
+    Everything here depends on the frontier's nodes only, never on its
+    probs, so a level whose frontier repeats the previous one reuses it.
+    """
+
+    frontier: np.ndarray  # the frontier nodes the block was built from
+    keep: np.ndarray  # mask of frontier nodes with at least one in-edge
+    counts: np.ndarray  # in-degree of each kept node
+    owner: np.ndarray  # kept-node index of each flattened arc
+    children: np.ndarray  # in-neighbour at the end of each flattened arc
+    denominators: Optional[np.ndarray]  # weighted: W(node) per kept node
+    arc_weights: Optional[np.ndarray]  # weighted: w(child, node) per arc
+    child_degrees: Optional[np.ndarray]  # "paper": |I(child)| per arc
+
+
+def _flatten_in_edges(
+    graph: DiGraph,
+    frontier_nodes: np.ndarray,
+    in_degrees: Optional[np.ndarray],
+    weight_totals: Optional[np.ndarray],
+) -> _InEdgeBlock:
+    indptr = graph.in_indptr
+    counts = (indptr[frontier_nodes + 1] - indptr[frontier_nodes]).astype(np.int64)
+    keep = counts > 0
+    nodes = frontier_nodes[keep]
+    counts = counts[keep]
+    total = int(counts.sum())
+    owner = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
+    cum = np.zeros(nodes.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=cum[1:])
+    flat = np.take(indptr[nodes] - cum, owner) + np.arange(total, dtype=np.int64)
+    children = graph.in_indices[flat].astype(np.int64)
+    weighted = weight_totals is not None
+    return _InEdgeBlock(
+        frontier=frontier_nodes,
+        keep=keep,
+        counts=counts,
+        owner=owner,
+        children=children,
+        denominators=weight_totals[nodes] if weighted else None,
+        arc_weights=graph.in_weights[flat] if weighted else None,
+        child_degrees=None if in_degrees is None else in_degrees[children],
+    )
+
+
 def _propagate_sparse(
     graph: DiGraph,
     frontier_nodes: np.ndarray,
@@ -504,69 +560,83 @@ def _propagate_sparse(
     """Propagate ``steps`` levels from a frontier; returns one
     ``(nodes, probs)`` pair per level (possibly empty).
 
-    The duplicate-child aggregation (``unique`` + ``bincount`` over the
-    inverse index) replays the accumulation order of a dense
-    ``bincount(children, weights, minlength=n)`` scatter-add exactly, so
-    sparse and dense construction agree bit-for-bit.
+    Each level flattens the frontier's in-edge CSR blocks into one
+    ``children`` array with a weight per arc, then sums the weights of
+    duplicate children in flattening order.  The sum is taken one of two
+    ways, switched on sizes alone (:data:`_SCATTER_DIVISOR`):
+
+    * big levels scatter into a length-``n`` row,
+      ``bincount(children, weights, minlength=n)``, and keep its non-zero
+      bins — ``O(total + n)``, no sort;
+    * small levels sort instead: ``unique(children)`` plus a ``bincount``
+      over the inverse index — ``O(total log total)``, nothing of size
+      ``n``.
+
+    Both add each node's weights one by one in the same order, starting
+    from ``0.0``, so they give the same floats, the same sorted nodes and
+    drop the same zero bins: the branch a level takes never shows in its
+    result, and the dense :class:`ReverseReachableTree` built from it
+    matches too.  A level whose frontier equals the previous one — every
+    level once the support saturates at the source's reverse closure —
+    reuses the previous flattened block (:class:`_InEdgeBlock`) and
+    recomputes only the arc weights from the new probs.
     """
     n = graph.num_nodes
-    indptr = graph.in_indptr
-    indices = graph.in_indices
     in_degrees = graph.in_degrees().astype(np.float64) if variant == "paper" else None
-    weight_totals = graph.in_weight_totals() if graph.is_weighted else None
+    weight_totals = (
+        graph.in_weight_totals()
+        if graph.is_weighted and variant == "corrected"
+        else None
+    )
 
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    block: Optional[_InEdgeBlock] = None
     for _ in range(steps):
         if frontier_nodes.size == 0:
             levels.append(empty)
             continue
-        counts = (
-            indptr[frontier_nodes + 1] - indptr[frontier_nodes]
-        ).astype(np.int64)
-        keep = counts > 0
-        nodes = frontier_nodes[keep]
-        probs = frontier_probs[keep]
-        counts = counts[keep]
-        if nodes.size == 0:
+        if block is None or not np.array_equal(frontier_nodes, block.frontier):
+            block = _flatten_in_edges(graph, frontier_nodes, in_degrees, weight_totals)
+        if block.counts.size == 0:
             frontier_nodes, frontier_probs = empty
             levels.append(empty)
             continue
-        total = int(counts.sum())
-        # Flatten every frontier node's in-neighbour CSR block.
-        starts = indptr[nodes]
-        cum = np.zeros(nodes.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=cum[1:])
-        flat = np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
-        children = indices[flat].astype(np.int64)
-        if variant == "corrected":
-            if weight_totals is None:
-                weights = np.repeat(sqrt_c * probs / counts, counts)
-            else:
-                # Weighted walk: arc (child -> node) is taken with
-                # probability w / W(node).
-                weights = (
-                    np.repeat(sqrt_c * probs / weight_totals[nodes], counts)
-                    * graph.in_weights[flat]
-                )
-        else:
-            child_degrees = in_degrees[children]
+        probs = frontier_probs[block.keep]
+        if variant == "paper":
             with np.errstate(divide="ignore", invalid="ignore"):
                 weights = np.where(
-                    child_degrees > 0,
-                    sqrt_c * np.repeat(probs, counts) / child_degrees,
+                    block.child_degrees > 0,
+                    sqrt_c * np.take(probs, block.owner) / block.child_degrees,
                     0.0,
                 )
-        level_nodes, inverse = np.unique(children, return_inverse=True)
-        level_probs = np.bincount(
-            inverse, weights=weights, minlength=level_nodes.size
-        )
-        occupied = level_probs != 0.0
-        if prune_below > 0.0:
-            occupied &= level_probs >= prune_below
-        if not occupied.all():
-            level_nodes = level_nodes[occupied]
-            level_probs = level_probs[occupied]
+        elif weight_totals is None:
+            weights = np.take(sqrt_c * probs / block.counts, block.owner)
+        else:
+            # Weighted walk: arc (child -> node) is taken with
+            # probability w / W(node).
+            weights = (
+                np.take(sqrt_c * probs / block.denominators, block.owner)
+                * block.arc_weights
+            )
+        if block.children.size * _SCATTER_DIVISOR >= n:
+            row = np.bincount(block.children, weights=weights, minlength=n)
+            if prune_below > 0.0:
+                level_nodes = np.flatnonzero(row >= prune_below)
+            else:
+                level_nodes = np.flatnonzero(row != 0.0)
+            level_probs = row[level_nodes]
+        else:
+            level_nodes, inverse = np.unique(block.children, return_inverse=True)
+            level_probs = np.bincount(
+                inverse, weights=weights, minlength=level_nodes.size
+            )
+            occupied = level_probs != 0.0
+            if prune_below > 0.0:
+                occupied &= level_probs >= prune_below
+            if not occupied.all():
+                level_nodes = level_nodes[occupied]
+                level_probs = level_probs[occupied]
         frontier_nodes = level_nodes
         frontier_probs = level_probs
         levels.append((level_nodes, level_probs))

@@ -27,12 +27,16 @@ Endpoints
     Status codes: ``200`` answered (possibly degraded — check the body);
     ``400`` malformed — bad JSON, a bad ``Content-Length``, ``source`` /
     ``seed`` not a non-negative integer, ``candidates`` not a list of
-    them, ``top_k`` not a positive integer, an unknown ``sampler``, or a
-    body or header deadline that is not a finite number; ``429`` shed by
-    admission control, with a
+    them, ``top_k`` not a positive integer, an unknown ``sampler``,
+    ``dense`` not a JSON boolean, or a body or header deadline that is
+    not a finite number; ``408`` the body stalled for
+    ``BODY_READ_TIMEOUT``; ``413`` a ``Content-Length`` over
+    ``MAX_BODY_BYTES``; ``429`` shed by admission control, with a
     ``Retry-After`` header from the engine's measured service rate;
     ``503`` engine shut down; ``504`` deadline expired with nothing to
-    salvage.
+    salvage.  After a ``400`` for the ``Content-Length``, a ``408`` or a
+    ``413`` the connection closes: the rest of its byte stream cannot be
+    framed into requests.
 ``GET /healthz``
     Liveness only: ``200 {"status": "ok"}`` whenever the process can
     answer HTTP at all — even while draining.  Restart-deciders watch
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -72,7 +77,14 @@ from repro.errors import (
 )
 from repro.serve.engine import Engine, _check_deadline
 
-__all__ = ["create_server", "serve_forever", "DENSE_RESPONSE_LIMIT", "DEADLINE_HEADER"]
+__all__ = [
+    "create_server",
+    "serve_forever",
+    "BODY_READ_TIMEOUT",
+    "DENSE_RESPONSE_LIMIT",
+    "DEADLINE_HEADER",
+    "MAX_BODY_BYTES",
+]
 
 #: Request header carrying the end-to-end deadline budget in seconds.
 DEADLINE_HEADER = "X-Repro-Deadline"
@@ -80,6 +92,16 @@ DEADLINE_HEADER = "X-Repro-Deadline"
 #: Above this node count, responses default to a top-k ranking instead of
 #: the dense vector (which would be ~1 MB of JSON per 50k-node query).
 DENSE_RESPONSE_LIMIT = 10_000
+
+#: Largest request body accepted, in bytes; a longer ``Content-Length`` is
+#: answered 413 before anything is read.  A whole-graph candidate list on
+#: the 50k-node benchmark fixture is ~350 KB, so this leaves ~45x room.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a request body may stall (no bytes arriving) before the handler
+#: answers 408 and closes.  It applies only while the body is read, so an
+#: idle keep-alive connection between requests is not timed out.
+BODY_READ_TIMEOUT = 10.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -181,17 +203,36 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(raw_length)
         except ValueError:
             length = -1
+        # Each early answer below leaves the body unread (or half read),
+        # so the connection cannot carry another request.
         if length < 0:
-            # Without a length the body's end is unknown, so the
-            # connection cannot carry another request.
             self.close_connection = True
             self._reply(
                 400, {"error": f"malformed Content-Length {raw_length!r}"}
             )
             return
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._reply(
+                413,
+                {"error": f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"},
+            )
+            return
         # Read the body even for an unknown path: left unread, it would
         # be parsed as the connection's next request.
-        body = self.rfile.read(length)
+        previous_timeout = self.connection.gettimeout()
+        self.connection.settimeout(BODY_READ_TIMEOUT)
+        try:
+            body = self.rfile.read(length)
+        except socket.timeout:
+            self.close_connection = True
+            self._reply(
+                408,
+                {"error": f"request body stalled for {BODY_READ_TIMEOUT} s"},
+            )
+            return
+        finally:
+            self.connection.settimeout(previous_timeout)
         if self.path != "/v1/query":
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
@@ -204,7 +245,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(400, {"error": "body must be an object with 'source'"})
             return
         top_k = payload.get("top_k")
-        dense = bool(payload.get("dense", False))
+        dense = payload.get("dense", False)
+        if not isinstance(dense, bool):
+            self._reply(400, {"error": f"'dense' must be true or false, got {dense!r}"})
+            return
         if (
             top_k is None
             and not dense

@@ -117,6 +117,14 @@ ONE_WRITE_CASES = [
     ("stats", "GET", "/stats", None, {}, 200),
     ("metrics", "GET", "/metrics", None, {}, 200),
     ("stdlib-501", "PUT", "/v1/query", b"{}", {}, 501),
+    (
+        "too-large-413",
+        "POST",
+        "/v1/query",
+        b"",
+        {"Content-Length": str(serve_http.MAX_BODY_BYTES + 1)},
+        413,
+    ),
 ]
 
 
@@ -244,7 +252,40 @@ MALFORMED_CASES = [
     ("json-not-an-object", b"[3]", {}),
     ("body-not-utf8", b"\xff\xfe\xfd", {}),
     ("body-empty", b"", {}),
+    ("dense-string-false", _query(dense="false"), {}),
+    ("dense-zero", _query(dense=0), {}),
+    ("dense-list", _query(dense=[]), {}),
+    ("dense-null", _query(dense=None), {}),
 ]
+
+
+def _head(content_length):
+    return (
+        "POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+    ).encode()
+
+
+#: (label, raw request bytes, expected status) — requests whose body cannot
+#: be framed: each is answered 4xx JSON with ``Connection: close``.
+CLOSING_CASES = [
+    ("body-shorter-than-length", _head(100) + b'{"source": 3}', 408),
+    ("length-over-cap", _head(serve_http.MAX_BODY_BYTES + 1), 413),
+    ("length-huge", _head(10**18), 413),
+]
+
+
+def _raw_exchange(server, data):
+    """Send raw bytes, read until the server closes; (status, headers, body)."""
+    with socket.create_connection(server.server_address[:2], timeout=30) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, body
 
 
 class TestFrontDoorFuzz:
@@ -302,6 +343,56 @@ class TestFrontDoorFuzz:
             assert response.status == 200
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "data,status",
+        [case[1:] for case in CLOSING_CASES],
+        ids=[case[0] for case in CLOSING_CASES],
+    )
+    def test_unframeable_body_is_4xx_then_close(
+        self, monkeypatch, server, data, status
+    ):
+        monkeypatch.setattr(serve_http, "BODY_READ_TIMEOUT", 0.3)
+        started = time.monotonic()
+        got, headers, body = _raw_exchange(server, data)
+        assert time.monotonic() - started < 10
+        assert got == status
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["error"]
+        # No handler is left parked: the next connection is served.
+        conn = _connect(server)
+        try:
+            response, _ = _request(conn, "POST", "/v1/query", _query(seed=7))
+            assert response.status == 200
+        finally:
+            conn.close()
+
+    def test_body_timeout_spares_idle_keep_alive(self, monkeypatch, server):
+        monkeypatch.setattr(serve_http, "BODY_READ_TIMEOUT", 0.2)
+        conn = _connect(server)
+        try:
+            response, _ = _request(conn, "POST", "/v1/query", _query(seed=7))
+            assert response.status == 200
+            time.sleep(0.6)  # idle three body timeouts between requests
+            response, _ = _request(conn, "POST", "/v1/query", _query(seed=8))
+            assert response.status == 200
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_boolean_dense_answers(self, server, dense):
+        conn = _connect(server)
+        try:
+            response, data = _request(
+                conn, "POST", "/v1/query", _query(seed=7, dense=dense)
+            )
+        finally:
+            conn.close()
+        assert response.status == 200
+        # The 300-node test graph is under DENSE_RESPONSE_LIMIT, so both
+        # answer the dense vector; the flag only matters on big graphs.
+        assert len(json.loads(data)["scores"]) == 300
 
     def test_every_valid_field_still_answers(self, server, catalog):
         conn = _connect(server)
