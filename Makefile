@@ -14,7 +14,7 @@ test:
 # Parallel subsystem only; set REPRO_START_METHOD=spawn (or fork) to pin
 # the multiprocessing start method the pool tests use.
 test-parallel:
-	$(PYTHON) -m pytest tests/parallel/ tests/test_guarantee.py
+	$(PYTHON) -m pytest tests/parallel/ tests/test_guarantee.py tests/core/test_adaptive.py
 
 # Chaos suite: injected worker kills, stalled shards, deadlines, mid-push
 # failures (see docs/internals.md §9).  Honours REPRO_START_METHOD too.

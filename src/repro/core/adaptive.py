@@ -69,8 +69,6 @@ __all__ = [
     "plan_rounds",
     "walk_value_bound",
     "drive_adaptive_rounds",
-    "adaptive_crash_totals",
-    "adaptive_crash_totals_multi",
     "record_adaptive_stop",
     "DEFAULT_HUB_COUNT",
 ]
@@ -394,7 +392,7 @@ def exact_expectation(graph, tree, *, l_max: int, c: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Round drivers
+# Round loop
 # ----------------------------------------------------------------------
 
 
@@ -443,7 +441,7 @@ def drive_adaptive_rounds(
     num_nodes: int,
     n_r: int,
 ) -> AdaptiveOutcome:
-    """The shared round loop: serial and parallel drivers both run this.
+    """The adaptive round loop every adaptive query runs, at any tier.
 
     ``run_round(start_index, sizes, seeds)`` executes one round's shards
     and returns ``(results, interrupted)`` where ``results[i]`` is the
@@ -497,132 +495,3 @@ def drive_adaptive_rounds(
     )
     record_adaptive_stop(outcome.stop_reason, rounds_run, trials_used, n_r)
     return outcome
-
-
-def adaptive_crash_totals(
-    graph,
-    tree,
-    targets: np.ndarray,
-    params: CrashSimParams,
-    *,
-    num_nodes: int,
-    seed,
-    sampler: str = "cdf",
-    kernel=None,
-    num_hubs: int = DEFAULT_HUB_COUNT,
-) -> AdaptiveOutcome:
-    """Serial adaptive accumulation: rounds over the shard plan, one kernel.
-
-    Uses exactly the shard plan, per-shard seed spawn, round grouping, and
-    shard-order moment folding the parallel driver uses, so a serial
-    adaptive run is byte-identical to ``parallel_crashsim(adaptive=True)``
-    at any worker count for the same seed.  The kernel's warm ping-pong
-    buffers persist across rounds — round granularity costs no
-    reallocation.
-    """
-    from repro.parallel.runner import plan_shards
-    from repro.rng import as_seed_sequence
-    from repro.walks.kernel import WalkCrashKernel
-
-    targets = np.asarray(targets, dtype=np.int64)
-    l_max = params.l_max
-    n_r = params.n_r(num_nodes)
-    if targets.size == 0:
-        stopper = AdaptiveStopper(params, 0, 0.0, 1)
-        return drive_adaptive_rounds(
-            [], [], stopper, lambda *_: ([], False), num_nodes=num_nodes, n_r=n_r
-        )
-    shard_plan = plan_shards(n_r, targets.size, n_r=n_r)
-    seeds = as_seed_sequence(seed).spawn(len(shard_plan))
-    if kernel is None:
-        kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
-    hub_cache = build_hub_cache(
-        graph, tree, l_max=l_max, c=params.c, num_hubs=num_hubs
-    )
-    stopper = AdaptiveStopper(
-        params,
-        targets.size,
-        walk_value_bound(tree, l_max),
-        len(plan_rounds(len(shard_plan))),
-    )
-
-    def run_round(start, sizes, round_seeds):
-        results = []
-        for trials, shard_seed in zip(sizes, round_seeds):
-            results.append(
-                kernel.accumulate_moments(
-                    tree,
-                    targets,
-                    trials,
-                    l_max=l_max,
-                    rng=np.random.default_rng(shard_seed),
-                    hub_cache=hub_cache,
-                )
-            )
-        return results, False
-
-    return drive_adaptive_rounds(
-        shard_plan, seeds, stopper, run_round, num_nodes=num_nodes, n_r=n_r
-    )
-
-
-def adaptive_crash_totals_multi(
-    graph,
-    trees: Sequence,
-    targets: np.ndarray,
-    params: CrashSimParams,
-    *,
-    num_nodes: int,
-    seed,
-    sampler: str = "cdf",
-    kernel=None,
-) -> AdaptiveOutcome:
-    """Serial multi-source adaptive accumulation with CRN variance reduction.
-
-    One shared walk stream scores against every source's tree (the
-    ``accumulate_multi`` design), so the ``q`` per-source estimates are
-    common-random-number coupled; the stopper tracks all ``q·k`` marginal
-    variances on that single stream and stops when the worst one is within
-    ε.  ``totals`` comes back flattened ``(q·k,)`` in source-major order.
-    """
-    from repro.parallel.runner import plan_shards
-    from repro.rng import as_seed_sequence
-    from repro.walks.kernel import WalkCrashKernel
-
-    targets = np.asarray(targets, dtype=np.int64)
-    q = len(trees)
-    l_max = params.l_max
-    n_r = params.n_r(num_nodes)
-    if targets.size == 0 or q == 0:
-        stopper = AdaptiveStopper(params, 0, 0.0, 1)
-        return drive_adaptive_rounds(
-            [], [], stopper, lambda *_: ([], False), num_nodes=num_nodes, n_r=n_r
-        )
-    shard_plan = plan_shards(n_r, targets.size * q, n_r=n_r)
-    seeds = as_seed_sequence(seed).spawn(len(shard_plan))
-    if kernel is None:
-        kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
-    bounds = np.repeat(
-        [walk_value_bound(tree, l_max) for tree in trees], targets.size
-    )
-    stopper = AdaptiveStopper(
-        params, q * targets.size, bounds, len(plan_rounds(len(shard_plan)))
-    )
-
-    def run_round(start, sizes, round_seeds):
-        results = []
-        for trials, shard_seed in zip(sizes, round_seeds):
-            results.append(
-                kernel.accumulate_multi_moments(
-                    trees,
-                    targets,
-                    trials,
-                    l_max=l_max,
-                    rng=np.random.default_rng(shard_seed),
-                )
-            )
-        return results, False
-
-    return drive_adaptive_rounds(
-        shard_plan, seeds, stopper, run_round, num_nodes=num_nodes, n_r=n_r
-    )

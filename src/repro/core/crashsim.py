@@ -9,10 +9,11 @@ The algorithm:
    into ``W(u)`` — read off as ``U[step, position]`` at every step;
 4. average the trials.
 
-Step 3 runs through :class:`repro.walks.BatchWalkStepper`, so a trial is
-``O(l_max)`` vectorised operations over the whole candidate set, and the
-accumulation ``totals += U[step, positions]`` is a single fancy-indexing
-gather per step.
+The trial loop is the shared driver in :mod:`repro.parallel.runner`: a
+fixed-``n_r`` run is its classic one-stream case (every trial drawn from
+the caller's generator through one fused
+:class:`~repro.walks.kernel.WalkCrashKernel` pass), and ``adaptive=True``
+runs its sharded rounds on the ``workers=1`` inline executor.
 
 Estimator switches (DESIGN.md §2):
 
@@ -26,25 +27,21 @@ Estimator switches (DESIGN.md §2):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from repro.core.adaptive import adaptive_crash_totals
 from repro.core.params import CrashSimParams
-from repro.core.revreach import ReverseReachableTree, revreach_levels
+from repro.core.revreach import ReverseReachableTree
 from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike
 from repro.walks.engine import BatchWalkStepper
-from repro.walks.kernel import WalkCrashKernel
 
 __all__ = [
     "CrashSimResult",
     "crashsim",
-    "accumulate_crash_totals",
     "accumulate_crash_totals_reference",
     "resolve_candidates",
 ]
@@ -72,8 +69,9 @@ class CrashSimResult:
         The source's reverse reachable tree (reusable by CrashSim-T).
     trials_completed:
         Trials that actually finished; ``n_r`` unless shards were lost to
-        a deadline, worker death, or in-shard errors (resilient parallel
-        drivers only — the serial estimator always completes).
+        a deadline, worker death, or in-shard errors (sharded runs only,
+        which includes serial adaptive ones — a fixed-``n_r`` serial run
+        is one stream and always completes).
     degraded:
         Whether the estimate averages fewer than ``n_r`` trials.  Degraded
         scores are still unbiased, just with the wider Lemma-3 bound below.
@@ -81,8 +79,8 @@ class CrashSimResult:
         Lemma 3 inverted at ``trials_completed``
         (:meth:`CrashSimParams.achieved_epsilon`); for adaptive runs the
         *better* of that bound and the final empirical-Bernstein bound;
-        ``None`` when the driver did not compute it (plain serial
-        :func:`crashsim`).
+        ``None`` for a fixed-``n_r`` serial :func:`crashsim`, which does
+        not compute it.
     stopped_early:
         Adaptive runs only: the empirical-Bernstein stopper converged
         before ``n_r`` trials, so the run skipped the rest.  Unlike
@@ -153,9 +151,6 @@ def resolve_candidates(
     return arr
 
 
-_resolve_candidates = resolve_candidates  # backwards-compatible alias
-
-
 def crashsim(
     graph: DiGraph,
     source: int,
@@ -208,7 +203,12 @@ def crashsim(
         the fixed-``n_r`` path, so adaptive scores are not bit-comparable
         to non-adaptive runs.  The result carries honest
         ``trials_completed`` / ``achieved_epsilon`` / ``stopped_early``
-        metadata with ``degraded=False``.  Requires
+        metadata.  The rounds run on the ``workers=1`` inline executor, so
+        the sharded drivers' fault contract applies: a failing shard is
+        retried a bounded number of times, one that keeps failing is
+        dropped and the result comes back ``degraded`` with the honest
+        wider bound (and a :class:`~repro.errors.DegradedResultWarning`),
+        and a run with no completed trial raises.  Requires
         ``first_meeting="none"``.
 
     Returns
@@ -217,146 +217,36 @@ def crashsim(
         Scores satisfying Theorem 1's guarantee when ``params`` uses the
         theoretical ``n_r``.
     """
-    params = params or CrashSimParams()
-    if not 0 <= int(source) < graph.num_nodes:
-        raise ParameterError(
-            f"source {source} outside the graph's node range [0, {graph.num_nodes})"
-        )
-    source = int(source)
-    rng = ensure_rng(seed)
-    candidate_array = resolve_candidates(graph, source, candidates)
-    l_max = params.l_max
-    n_r = params.n_r(max(graph.num_nodes, 2))
-
-    if tree is None:
-        tree = revreach_levels(graph, source, l_max, params.c, variant=tree_variant)
-    elif (
-        tree.source != source
-        or tree.l_max != l_max
-        or tree.variant != tree_variant
-        or not math.isclose(tree.c, params.c)
-    ):
-        raise ParameterError(
-            "precomputed tree does not match this query's source/c/l_max/variant"
-        )
-
-    walk_targets = candidate_array[candidate_array != source]
-    # A candidate with no in-neighbours cannot take a single walk step, so
-    # its estimator is exactly 0 — drop it before paying n_r walks for it.
-    walk_targets = walk_targets[graph.in_degrees()[walk_targets] > 0]
-    if adaptive:
-        if first_meeting != "none":
-            raise ParameterError(
-                'adaptive=True supports only first_meeting="none", '
-                f"got {first_meeting!r}"
-            )
-        outcome = adaptive_crash_totals(
-            graph,
-            tree,
-            walk_targets,
-            params,
-            num_nodes=max(graph.num_nodes, 2),
-            seed=seed,
-            sampler=sampler,
-        )
-        divisor = max(outcome.trials_used, 1)
-        scores = np.zeros(candidate_array.size, dtype=np.float64)
-        walk_positions = np.searchsorted(candidate_array, walk_targets)
-        scores[walk_positions] = outcome.totals / divisor
-        scores[candidate_array == source] = 1.0
-        scores = np.clip(scores, 0.0, 1.0)
-        return CrashSimResult(
-            source=source,
-            candidates=candidate_array,
-            scores=scores,
-            n_r=n_r,
-            params=params,
-            tree=tree,
-            trials_completed=outcome.trials_used,
-            degraded=outcome.degraded,
-            achieved_epsilon=outcome.achieved_epsilon,
-            stopped_early=outcome.stopped_early,
-        )
-    if first_meeting == "none":
-        totals = _accumulate_crashes(
-            graph, tree, walk_targets, n_r, params, rng, sampler=sampler
-        )
-    elif first_meeting == "dp":
-        if sampler != "cdf":
-            raise ParameterError(
-                'first_meeting="dp" samples paths through the generator '
-                f"engine and supports only sampler=\"cdf\", got {sampler!r}"
-            )
-        totals = _accumulate_crashes_dp(
-            graph, tree, walk_targets, n_r, params, rng
-        )
-    else:
+    if first_meeting not in ("none", "dp"):
         raise ParameterError(f"unknown first_meeting mode {first_meeting!r}")
+    if first_meeting == "dp" and adaptive:
+        raise ParameterError(
+            'adaptive=True supports only first_meeting="none", got "dp"'
+        )
+    if first_meeting == "dp" and sampler != "cdf":
+        raise ParameterError(
+            'first_meeting="dp" samples paths through the generator '
+            f"engine and supports only sampler=\"cdf\", got {sampler!r}"
+        )
+    from repro.parallel.runner import drive_single
 
-    scores = np.zeros(candidate_array.size, dtype=np.float64)
-    walk_positions = np.searchsorted(candidate_array, walk_targets)
-    scores[walk_positions] = totals / n_r
-    scores[candidate_array == source] = 1.0
-    scores = np.clip(scores, 0.0, 1.0)
-    return CrashSimResult(
-        source=source,
-        candidates=candidate_array,
-        scores=scores,
-        n_r=n_r,
+    return drive_single(
+        graph,
+        source,
+        candidates=candidates,
         params=params,
         tree=tree,
+        tree_variant=tree_variant,
+        seed=seed,
+        sampler=sampler,
+        adaptive=adaptive,
+        one_stream=True,
+        first_meeting=first_meeting,
+        workers=1,
     )
 
 
 _WALK_CHUNK = 1 << 20  # max simultaneous walks per batched pass
-
-
-def accumulate_crash_totals(
-    graph: DiGraph,
-    tree,
-    targets: np.ndarray,
-    n_trials: int,
-    *,
-    c: float,
-    l_max: int,
-    rng: np.random.Generator,
-    walk_chunk: int = _WALK_CHUNK,
-    sampler: str = "cdf",
-    use_jit: Optional[bool] = None,
-    kernel: Optional[WalkCrashKernel] = None,
-) -> np.ndarray:
-    """Paper-literal accumulation: ``Σ_k Σ_step U[step, W_k(v)_step]``.
-
-    Runs through the fused :class:`~repro.walks.kernel.WalkCrashKernel`:
-    one call advances a whole chunk of walks (trials × candidates) through
-    all ``l_max`` steps in preallocated buffers and folds the crash reads
-    in place.  With the default ``sampler="cdf"`` the totals are
-    **bit-identical** to the historical generator-driven implementation
-    (kept as :func:`accumulate_crash_totals_reference`), which the pinned
-    seed fixtures enforce.
-
-    ``tree`` is anything with a ``gather(step, positions)`` read — a
-    :class:`~repro.core.revreach.SparseReverseTree` (default), a dense
-    :class:`~repro.core.revreach.ReverseReachableTree`, or a raw 2-D
-    ``(l_max + 1, n)`` matrix.  The gathered values are identical floats in
-    every case, so scores are byte-identical across representations.
-
-    ``graph`` only needs the walk-facing protocol (in-CSR arrays, degrees,
-    weight totals), so a :class:`repro.parallel.CsrGraphView` attached to
-    shared memory works as well as a full :class:`DiGraph` — this is the
-    unit of work the parallel executor ships to each trial shard, and the
-    serial estimator runs through the exact same code path.
-
-    ``kernel`` lets a caller that issues many accumulations over the same
-    graph (CrashSim-T snapshot loops, benchmarks) reuse one kernel's
-    buffers instead of constructing a fresh one per call; when provided,
-    ``sampler``/``use_jit`` are ignored in favour of the kernel's own.
-    """
-    if kernel is None:
-        kernel = WalkCrashKernel(graph, c, sampler=sampler, use_jit=use_jit)
-    return kernel.accumulate(
-        tree, targets, n_trials, l_max=l_max, rng=rng, walk_chunk=walk_chunk
-    )
 
 
 def accumulate_crash_totals_reference(
@@ -373,8 +263,8 @@ def accumulate_crash_totals_reference(
     """The pre-kernel generator-driven accumulation, kept as the oracle.
 
     Byte-identity tests and the kernel benchmark compare the fused kernel
-    against this implementation; production paths should call
-    :func:`accumulate_crash_totals`.
+    against this implementation; production paths call
+    :meth:`~repro.walks.kernel.WalkCrashKernel.accumulate`.
     """
     totals = np.zeros(targets.size, dtype=np.float64)
     if targets.size == 0 or n_trials <= 0:
@@ -401,28 +291,6 @@ def accumulate_crash_totals_reference(
                 minlength=targets.size,
             )
     return totals
-
-
-def _accumulate_crashes(
-    graph: DiGraph,
-    tree: ReverseReachableTree,
-    targets: np.ndarray,
-    n_r: int,
-    params: CrashSimParams,
-    rng: np.random.Generator,
-    *,
-    sampler: str = "cdf",
-) -> np.ndarray:
-    return accumulate_crash_totals(
-        graph,
-        tree,
-        targets,
-        n_r,
-        c=params.c,
-        l_max=params.l_max,
-        rng=rng,
-        sampler=sampler,
-    )
 
 
 def _accumulate_crashes_dp(

@@ -21,19 +21,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.crashsim import CrashSimResult
 from repro.core.params import CrashSimParams
-from repro.core.revreach import revreach_levels
-from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph
-from repro.rng import RngLike, ensure_rng
-from repro.walks.kernel import WalkCrashKernel
+from repro.rng import RngLike
 
 __all__ = ["crashsim_multi_source"]
-
-_WALK_CHUNK = 1 << 20
 
 
 def crashsim_multi_source(
@@ -65,85 +58,21 @@ def crashsim_multi_source(
     watches every ``(source, candidate)`` marginal variance on one walk
     budget and stops when the worst half-width is within ε.  All results
     share one honest ``trials_completed`` / ``achieved_epsilon`` /
-    ``stopped_early``.
+    ``stopped_early``.  As in :func:`~repro.core.crashsim.crashsim`, the
+    rounds run on the ``workers=1`` inline executor under the sharded
+    drivers' fault contract.
     """
-    params = params or CrashSimParams()
-    source_list = [int(s) for s in sources]
-    if not source_list:
-        return []
-    for source in source_list:
-        if not 0 <= source < graph.num_nodes:
-            raise ParameterError(
-                f"source {source} outside the node range [0, {graph.num_nodes})"
-            )
-    rng = ensure_rng(seed)
-    l_max = params.l_max
-    n_r = params.n_r(max(graph.num_nodes, 2))
+    from repro.parallel.runner import drive_multi
 
-    if candidates is None:
-        candidate_array = np.arange(graph.num_nodes, dtype=np.int64)
-    else:
-        candidate_array = np.unique(np.asarray(list(candidates), dtype=np.int64))
-        if candidate_array.size and (
-            candidate_array.min() < 0 or candidate_array.max() >= graph.num_nodes
-        ):
-            raise ParameterError("candidate node outside the graph's node range")
-
-    trees = [
-        revreach_levels(graph, source, l_max, params.c, variant=tree_variant)
-        for source in source_list
-    ]
-
-    # Walk once for every candidate that can walk at all.
-    walk_targets = candidate_array[graph.in_degrees()[candidate_array] > 0]
-    trials_completed = n_r
-    degraded = False
-    achieved: Optional[float] = None
-    stopped_early = False
-    totals = np.zeros((len(source_list), walk_targets.size), dtype=np.float64)
-    if adaptive:
-        from repro.core.adaptive import adaptive_crash_totals_multi
-
-        outcome = adaptive_crash_totals_multi(
-            graph,
-            trees,
-            walk_targets,
-            params,
-            num_nodes=max(graph.num_nodes, 2),
-            seed=seed,
-            sampler=sampler,
-        )
-        trials_completed = outcome.trials_used
-        degraded = outcome.degraded
-        achieved = outcome.achieved_epsilon
-        stopped_early = outcome.stopped_early
-        totals = outcome.totals.reshape(len(source_list), walk_targets.size)
-    elif walk_targets.size:
-        kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
-        totals = kernel.accumulate_multi(
-            trees, walk_targets, n_r, l_max=l_max, rng=rng, walk_chunk=_WALK_CHUNK
-        )
-
-    results: List[CrashSimResult] = []
-    walk_positions = np.searchsorted(candidate_array, walk_targets)
-    for row, (source, tree) in enumerate(zip(source_list, trees)):
-        per_source = candidate_array[candidate_array != source]
-        scores = np.zeros(candidate_array.size, dtype=np.float64)
-        scores[walk_positions] = totals[row] / max(trials_completed, 1)
-        scores[candidate_array == source] = 1.0
-        keep = candidate_array != source
-        results.append(
-            CrashSimResult(
-                source=source,
-                candidates=per_source,
-                scores=np.clip(scores[keep], 0.0, 1.0),
-                n_r=n_r,
-                params=params,
-                tree=tree,
-                trials_completed=trials_completed,
-                degraded=degraded,
-                achieved_epsilon=achieved,
-                stopped_early=stopped_early,
-            )
-        )
-    return results
+    return drive_multi(
+        graph,
+        sources,
+        candidates=candidates,
+        params=params,
+        tree_variant=tree_variant,
+        seed=seed,
+        sampler=sampler,
+        adaptive=adaptive,
+        one_stream=True,
+        workers=1,
+    )

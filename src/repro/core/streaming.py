@@ -128,6 +128,12 @@ class TemporalQuerySession:
             raise TemporalError("push an initial snapshot before any delta")
         added = [(int(s), int(t)) for s, t in added]
         removed = [(int(s), int(t)) for s, t in removed]
+        n = self._graph.num_nodes
+        for s, t in removed + added:
+            if not (0 <= s < n and 0 <= t < n):
+                raise ParameterError(
+                    f"delta edge ({s}, {t}) has an endpoint outside [0, {n})"
+                )
         builder = GraphBuilder.from_graph(self._graph)
         # Deltas arrive as dense node ids; translate through the label
         # space the builder interns (identity for unlabelled graphs).

@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = ["DiGraph", "build_alias_tables"]
 
+#: Smallest accepted arc weight: the smallest normal float.
+_MIN_WEIGHT = float(np.finfo(np.float64).tiny)
+
 
 def build_alias_tables(
     indptr: np.ndarray,
@@ -195,8 +198,19 @@ class DiGraph:
                     "weights must be parallel to sources/targets "
                     f"(got {weights.shape} for {sources.shape})"
                 )
-            if weights.size and (not np.isfinite(weights).all() or weights.min() <= 0):
-                raise GraphError("arc weights must be positive and finite")
+            # A subnormal weight overflows sqrt(c) * mass / W when it is a
+            # node's whole in-weight, and an infinite W empties the level,
+            # so both are refused here rather than corrupting the tree.
+            if weights.size and (
+                not np.isfinite(weights).all() or weights.min() < _MIN_WEIGHT
+            ):
+                raise GraphError(
+                    "arc weights must be finite and at least the smallest "
+                    f"normal float {_MIN_WEIGHT}"
+                )
+            in_totals = np.bincount(targets, weights=weights, minlength=num_nodes)
+            if not np.isfinite(in_totals).all():
+                raise GraphError("a node's total in-arc weight overflows to inf")
 
         self.num_nodes = int(num_nodes)
         self.directed = bool(directed)

@@ -1,28 +1,48 @@
-"""Parallel CrashSim drivers: shard trials, share memory, stay deterministic.
+"""The CrashSim trial driver: one sequence for serial, thread and process.
 
-Algorithm 1's ``n_r`` Monte-Carlo trials are mutually independent, so they
-split cleanly: the run is decomposed into a fixed shard plan (autotuned by
-:func:`plan_shards` — a pure function of the query shape, never of the
-worker count or the clock), each shard gets its own child of the master
-:class:`~numpy.random.SeedSequence` via ``spawn``, and shard totals are
-summed in shard order.  Because neither the shard boundaries nor the seed
-derivation depend on how many workers run them, **any** worker count —
-including the serial ``workers=1`` fallback — produces byte-identical
-scores for the same master seed (and the same ``shards`` argument).
+Algorithm 1's ``n_r`` Monte-Carlo trials are mutually independent, so every
+query — serial or sharded, fixed ``n_r`` or adaptive — runs the same five
+steps, and each is written here once:
+
+1. **validate** — one prologue and epilogue per query shape
+   (:func:`drive_single`, :func:`drive_multi`): source and candidate
+   checks, the prebuilt-tree check, the walk-target filter, and score
+   assembly;
+2. **plan** — a fixed shard plan (autotuned by :func:`plan_shards`, a pure
+   function of the query shape, never of the worker count or the clock),
+   each shard seeded by its own ``spawn`` child of the master
+   :class:`~numpy.random.SeedSequence`;
+3. **run** — one shard body (:func:`_shard_body`) for the process worker
+   and the in-process closure alike, with the kernel ``accumulate*``
+   method chosen in one place (:func:`_accumulate`);
+4. **fold** — shard totals summed, or shard moments fed to the adaptive
+   stopper, in shard order;
+5. **settle** — one fault rule (:func:`_settle`): a run with no completed
+   trial raises, a partial one returns ``degraded`` with a warning.
+
+Because neither the shard boundaries nor the seed derivation depend on how
+many workers run them, **any** worker count — including ``workers=1`` —
+produces byte-identical scores for the same master seed (and the same
+``shards`` argument).  The serial entry points are cases of this driver:
+adaptive :func:`~repro.core.crashsim.crashsim` and
+:func:`~repro.core.multi_source.crashsim_multi_source` run on the
+``workers=1`` inline executor, and their fixed-``n_r`` runs are the classic
+one-stream case — every trial drawn from the caller's generator as one
+shard, the layout the pinned seed fixtures define.
 
 Two execution tiers share the plan (see
 :class:`~repro.parallel.executor.ParallelExecutor`):
 
 * **process** — workers receive a :class:`_ShardTask` carrying only
   shared-memory specs (graph CSR, the source tree's sparse level arrays,
-  walk targets) plus a trial count and a seed — a few hundred bytes per
-  task; the megabyte-scale arrays are attached zero-copy via
-  :mod:`repro.parallel.shared_graph`;
-* **thread** (and the serial fallback) — shards run as in-process closures
-  over the original graph, each pool thread scoring through its own
-  preallocated :class:`~repro.walks.kernel.WalkCrashKernel` from a
-  :class:`~repro.walks.kernel.KernelPool` (kernels are not thread-safe);
-  no pickling, no shared memory, no interpreter startup.
+  walk targets) plus the query's :class:`_Job`, a trial count and a seed —
+  a few hundred bytes per task; the megabyte-scale arrays are attached
+  zero-copy via :mod:`repro.parallel.shared_graph`;
+* **thread** (and the serial ``workers=1`` executor) — shards run as
+  in-process closures over the original graph, each pool thread scoring
+  through its own preallocated :class:`~repro.walks.kernel.WalkCrashKernel`
+  from a :class:`~repro.walks.kernel.KernelPool` (kernels are not
+  thread-safe); no pickling, no shared memory, no interpreter startup.
 
 When no executor is passed in, drivers share the process-wide persistent
 default executor (:func:`~repro.parallel.executor.get_default_executor`)
@@ -41,15 +61,24 @@ import math
 import threading
 import time
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import faults, obs
+from repro.core.adaptive import (
+    AdaptiveOutcome,
+    AdaptiveStopper,
+    HubCache,
+    build_hub_cache,
+    drive_adaptive_rounds,
+    plan_rounds,
+    walk_value_bound,
+)
 from repro.core.crashsim import (
     CrashSimResult,
-    accumulate_crash_totals,
+    _accumulate_crashes_dp,
     resolve_candidates,
 )
 from repro.core.params import CrashSimParams
@@ -76,7 +105,8 @@ from repro.parallel.shared_graph import (
     attach_graph,
     attach_tree,
 )
-from repro.rng import RngLike, as_seed_sequence
+from repro.rng import RngLike, as_seed_sequence, ensure_rng
+from repro.walks.kernel import KernelPool, WalkCrashKernel
 
 __all__ = [
     "DEFAULT_SHARDS",
@@ -179,76 +209,99 @@ def plan_shards(
     return shard_sizes(n_trials, max(count, 1))
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """One worker's slice of a run: attach specs + trial count + seed.
+class _Estimate(NamedTuple):
+    """A finished trial run, as the epilogue needs it."""
 
-    ``tree`` is set for single-source shards (sparse tree arrays); ``matrix``
-    for multi-source shards (the stacked dense ``(q, l_max + 1, n)`` array).
-    ``shard_index`` identifies the shard to the fault-injection hooks (and
-    keeps retry accounting readable); it does not influence the estimate.
+    totals: np.ndarray
+    trials: int
+    degraded: bool = False
+    achieved_epsilon: Optional[float] = None
+    stopped_early: bool = False
+
+
+@dataclass(frozen=True)
+class _Job:
+    """What every shard of one query runs, apart from its size and seed.
+
+    ``multi`` scores each walk against a stack of source trees; ``moments``
+    returns per-candidate ``(totals, sumsq)`` for the adaptive stopper,
+    retiring walks through ``hub_cache`` when one is set.
     """
 
-    graph: SharedGraphSpec
-    targets: ArraySpec
-    trials: int
     c: float
     l_max: int
-    seed: np.random.SeedSequence
-    tree: Optional[SharedTreeSpec] = None
-    matrix: Optional[ArraySpec] = None
-    shard_index: int = 0
-    sampler: str = "cdf"
-    # Adaptive (moments) shards: return stacked (totals, sumsq) instead of
-    # totals.  The hub cache rides along by value — kilobytes of tails, not
-    # worth a shared-memory segment.
+    sampler: str
+    multi: bool
     moments: bool = False
-    hub_hubs: Optional[np.ndarray] = None
-    hub_tails: Optional[np.ndarray] = None
+    hub_cache: Optional[HubCache] = None
 
 
-def _task_hub_cache(task: _ShardTask, num_nodes: int):
-    """Rebuild the :class:`~repro.core.adaptive.HubCache` a task carries."""
-    if task.hub_hubs is None:
-        return None
-    from repro.core.adaptive import HubCache
+def _accumulate(kernel, job: _Job, tree, targets, trials, rng) -> np.ndarray:
+    """Run ``trials`` trials on ``kernel``: the one kernel-method choice.
 
-    return HubCache(
-        hubs=task.hub_hubs,
-        tails=task.hub_tails,
-        num_nodes=num_nodes,
+    Moments come back stacked as one ``(2, ...)`` array of
+    ``(totals, sumsq)``, so every shard result is a single ndarray.
+    """
+    if job.multi:
+        trees = list(tree)
+        if job.moments:
+            return np.stack(
+                kernel.accumulate_multi_moments(
+                    trees, targets, trials, l_max=job.l_max, rng=rng
+                )
+            )
+        return kernel.accumulate_multi(
+            trees, targets, trials, l_max=job.l_max, rng=rng
+        )
+    if job.moments:
+        return np.stack(
+            kernel.accumulate_moments(
+                tree, targets, trials, l_max=job.l_max, rng=rng,
+                hub_cache=job.hub_cache,
+            )
+        )
+    return kernel.accumulate(tree, targets, trials, l_max=job.l_max, rng=rng)
+
+
+def _shard_body(kernel, job: _Job, tree, targets, index, trials, seed):
+    """One trial shard on its own RNG stream, in any tier."""
+    faults.inject("shard", index)
+    return _accumulate(
+        kernel, job, tree, targets, trials, np.random.default_rng(seed)
     )
 
 
+@dataclass(frozen=True)
+class _ShardTask:
+    """A process-tier shard: shared-memory specs, the job, and the shard.
+
+    ``tree`` is the published sparse tree, or for multi-source jobs the
+    stacked dense ``(q, l_max + 1, n)`` array.  The hub cache rides along
+    by value inside ``job`` — kilobytes of tails, not worth a segment.
+    """
+
+    graph: SharedGraphSpec
+    tree: Union[SharedTreeSpec, ArraySpec]
+    targets: ArraySpec
+    job: _Job
+    index: int
+    trials: int
+    seed: np.random.SeedSequence
+
+
 def _run_shard(task: _ShardTask) -> np.ndarray:
-    """Worker entry point: one trial shard against one sparse tree."""
-    faults.inject("shard", task.shard_index)
+    """Process-tier worker entry point: attach the arrays, run the shard."""
     view = attach_graph(task.graph)
-    tree, tree_handles = attach_tree(task.tree)
+    if task.job.multi:
+        tree, handle = attach_array(task.tree)
+        tree_handles = (handle,)
+    else:
+        tree, tree_handles = attach_tree(task.tree)
     targets, targets_handle = attach_array(task.targets)
     try:
-        if task.moments:
-            from repro.walks.kernel import WalkCrashKernel
-
-            kernel = WalkCrashKernel(view, task.c, sampler=task.sampler)
-            totals, sumsq = kernel.accumulate_moments(
-                tree,
-                targets,
-                task.trials,
-                l_max=task.l_max,
-                rng=np.random.default_rng(task.seed),
-                hub_cache=_task_hub_cache(task, view.num_nodes),
-            )
-            return np.stack((totals, sumsq))
-        return accumulate_crash_totals(
-            view,
-            tree,
-            targets,
-            task.trials,
-            c=task.c,
-            l_max=task.l_max,
-            rng=np.random.default_rng(task.seed),
-            sampler=task.sampler,
+        kernel = WalkCrashKernel(view, task.job.c, sampler=task.job.sampler)
+        return _shard_body(
+            kernel, task.job, tree, targets, task.index, task.trials, task.seed
         )
     finally:
         view.close()
@@ -257,43 +310,6 @@ def _run_shard(task: _ShardTask) -> np.ndarray:
         targets_handle.close()
 
 
-def _run_shard_multi(task: _ShardTask) -> np.ndarray:
-    """Worker entry point for multi-source: score walks against every tree."""
-    faults.inject("shard", task.shard_index)
-    view = attach_graph(task.graph)
-    matrices, matrix_handle = attach_array(task.matrix)
-    targets, targets_handle = attach_array(task.targets)
-    try:
-        if task.moments:
-            from repro.walks.kernel import WalkCrashKernel
-
-            kernel = WalkCrashKernel(view, task.c, sampler=task.sampler)
-            totals, sumsq = kernel.accumulate_multi_moments(
-                list(matrices),
-                targets,
-                task.trials,
-                l_max=task.l_max,
-                rng=np.random.default_rng(task.seed),
-            )
-            return np.stack((totals, sumsq))
-        return _accumulate_multi(
-            view,
-            matrices,
-            targets,
-            task.trials,
-            c=task.c,
-            l_max=task.l_max,
-            rng=np.random.default_rng(task.seed),
-            sampler=task.sampler,
-        )
-    finally:
-        view.close()
-        matrix_handle.close()
-        targets_handle.close()
-
-
-_WALK_CHUNK = 1 << 20
-
 # KernelPools are cached on the DiGraph itself (a dedicated slot), keyed by
 # (c, sampler, jit) — the graph's lifetime bounds the pools', and a
 # persistent executor's threads keep their warm kernel buffers across
@@ -301,7 +317,7 @@ _WALK_CHUNK = 1 << 20
 _KERNEL_POOL_LOCK = threading.Lock()
 
 
-def _kernel_pool(graph, *, c: float, sampler: str) -> "KernelPool":
+def _kernel_pool(graph, *, c: float, sampler: str) -> KernelPool:
     """The per-thread kernel pool for ``graph`` under this configuration.
 
     Kernels resolve the JIT toggle at construction, so the cache key folds
@@ -311,7 +327,6 @@ def _kernel_pool(graph, *, c: float, sampler: str) -> "KernelPool":
     still provides the per-thread isolation the thread tier needs.
     """
     from repro.walks import _jit
-    from repro.walks.kernel import KernelPool, WalkCrashKernel
 
     key = (float(c), sampler, _jit.jit_requested() and _jit.available())
 
@@ -333,171 +348,73 @@ def _kernel_pool(graph, *, c: float, sampler: str) -> "KernelPool":
         return pool
 
 
-def _accumulate_multi(
-    graph,
-    matrices: np.ndarray,
-    targets: np.ndarray,
-    n_trials: int,
-    *,
-    c: float,
-    l_max: int,
-    rng: np.random.Generator,
-    sampler: str = "cdf",
-) -> np.ndarray:
-    """Shared-walk accumulation against ``q`` stacked tree matrices.
-
-    Runs through the fused kernel's multi-tree path — one walk per
-    candidate per trial, then a single segmented bincount per step instead
-    of ``q`` — bit-identical to the historical per-row accumulation.
-    Returns totals of shape ``(q, k)``.
-    """
-    from repro.walks.kernel import WalkCrashKernel
-
-    kernel = WalkCrashKernel(graph, c, sampler=sampler)
-    return kernel.accumulate_multi(
-        list(matrices), targets, n_trials, l_max=l_max, rng=rng,
-        walk_chunk=_WALK_CHUNK,
-    )
-
-
 def _map_shards(
-    executor: Optional[ParallelExecutor],
-    workers: Optional[int],
-    graph: DiGraph,
+    executor: ParallelExecutor,
+    graph,
     tree,
     targets: np.ndarray,
-    shards: Sequence[int],
+    job: _Job,
+    sizes: Sequence[int],
     seeds: Sequence[np.random.SeedSequence],
     *,
-    c: float,
-    l_max: int,
-    multi: bool,
-    deadline: Optional[float] = None,
-    sampler: str = "cdf",
-    mode: str = "auto",
-    moments: bool = False,
-    hub_cache=None,
+    deadline: Optional[float],
     index_offset: int = 0,
-) -> Tuple[List[Optional[np.ndarray]], MapOutcome]:
-    """Run every shard through the executor's tier, in shard order.
+) -> MapOutcome:
+    """Run a slice of the shard plan on ``executor``'s tier, in shard order.
 
-    ``tree`` is a :class:`~repro.core.revreach.SparseReverseTree` for the
-    single-source path (shipped as its packed sparse arrays) or the stacked
-    dense matrices for the multi-source path (shipped as one 3-D array).
-
-    With no ``executor`` the process-wide persistent default for
-    ``(workers, mode)`` is shared (and never closed here); an explicit
-    executor is used as-is and ``mode`` is ignored.  The serial fallback
-    and the thread tier run shards as closures over the original arrays —
-    each pool thread through its own :class:`KernelPool` kernel — while
-    the process tier ships shared-memory specs to module-level workers.
-
-    Returns the per-shard totals (``None`` where a shard was lost) plus the
-    executor's :class:`~repro.parallel.executor.MapOutcome`; the caller
-    decides whether a partial outcome is acceptable.  Lost or failed shards
-    were retried per the executor's policy before being given up on.
-
-    ``moments=True`` runs the adaptive entry points instead: each shard
-    returns stacked ``(totals, sumsq)`` (shape ``(2, k)`` single-source,
-    ``(2, q, k)`` multi), optionally retiring walks through ``hub_cache``.
-    ``index_offset`` keeps global shard indices (fault-injection identity)
-    stable when the adaptive round loop maps one plan slice at a time.
+    The serial and thread tiers run shards as closures over the original
+    arrays, each thread through its own :class:`KernelPool` kernel; the
+    process tier publishes graph, tree and targets to shared memory and
+    ships :class:`_ShardTask` s to :func:`_run_shard`.  ``index_offset``
+    keeps global shard indices (the fault-injection identity) stable when
+    the adaptive loop maps one round at a time.  Lost or failed shards were
+    retried per the executor's policy; :func:`_settle` judges what is left.
     """
-    if executor is None:
-        executor = get_default_executor(workers, mode=mode)
+    indices = range(index_offset, index_offset + len(sizes))
     if not executor.uses_processes:
-        # Serial or thread tier: shards are in-process closures.  Every
-        # pool thread scores through its own preallocated kernel (kernels
-        # are not thread-safe); the serial path reuses one kernel across
-        # shards.  Both are bit-identical to a fresh-kernel-per-shard run
-        # — buffers carry no state between accumulate calls.
-        kernels = _kernel_pool(graph, c=c, sampler=sampler)
-        matrices = list(tree) if multi else None
+        kernels = _kernel_pool(graph, c=job.c, sampler=job.sampler)
 
         def run_local_shard(item):
-            index, trials, seed = item
-            faults.inject("shard", index)
-            kernel = kernels.get()
-            rng = np.random.default_rng(seed)
-            if moments:
-                if multi:
-                    totals, sumsq = kernel.accumulate_multi_moments(
-                        matrices, targets, trials, l_max=l_max, rng=rng,
-                        walk_chunk=_WALK_CHUNK,
-                    )
-                else:
-                    totals, sumsq = kernel.accumulate_moments(
-                        tree, targets, trials, l_max=l_max, rng=rng,
-                        walk_chunk=_WALK_CHUNK, hub_cache=hub_cache,
-                    )
-                return np.stack((totals, sumsq))
-            if multi:
-                return kernel.accumulate_multi(
-                    matrices, targets, trials, l_max=l_max, rng=rng,
-                    walk_chunk=_WALK_CHUNK,
-                )
-            return kernel.accumulate(
-                tree, targets, trials, l_max=l_max, rng=rng,
-                walk_chunk=_WALK_CHUNK,
-            )
+            return _shard_body(kernels.get(), job, tree, targets, *item)
 
-        items = list(
-            zip(range(index_offset, index_offset + len(shards)), shards, seeds)
-        )
-        with obs.span(
-            "shard_dispatch", shards=len(shards), mode=executor.mode_label
-        ):
-            outcome = executor.run(run_local_shard, items, deadline=deadline)
-        _log_shard_recovery(outcome, len(shards))
-        return outcome.results, outcome
-    shared_tree = SharedArray(tree) if multi else SharedTree(tree)
-    publish_alias = sampler == "alias" and getattr(graph, "is_weighted", False)
+        items = list(zip(indices, sizes, seeds))
+        return _dispatch(executor, run_local_shard, items, deadline)
+    shared_tree = SharedArray(tree) if job.multi else SharedTree(tree)
+    publish_alias = job.sampler == "alias" and getattr(graph, "is_weighted", False)
     with SharedGraph(
         graph, publish_alias=publish_alias
-    ) as shared_graph, shared_tree, SharedArray(
-        targets
-    ) as shared_targets:
+    ) as shared_graph, shared_tree, SharedArray(targets) as shared_targets:
+        tree_spec = shared_tree.spec if job.multi else shared_tree.spec()
         tasks = [
             _ShardTask(
-                graph=shared_graph.spec(),
-                matrix=shared_tree.spec if multi else None,
-                tree=None if multi else shared_tree.spec(),
-                targets=shared_targets.spec,
-                trials=trials,
-                c=c,
-                l_max=l_max,
-                seed=seed,
-                shard_index=index_offset + index,
-                sampler=sampler,
-                moments=moments,
-                hub_hubs=None if hub_cache is None else hub_cache.hubs,
-                hub_tails=None if hub_cache is None else hub_cache.tails,
+                shared_graph.spec(), tree_spec, shared_targets.spec, job,
+                index, trials, seed,
             )
-            for index, (trials, seed) in enumerate(zip(shards, seeds))
+            for index, trials, seed in zip(indices, sizes, seeds)
         ]
-        worker = _run_shard_multi if multi else _run_shard
-        with obs.span("shard_dispatch", shards=len(shards), mode="process"):
-            outcome = executor.run(worker, tasks, deadline=deadline)
-        _log_shard_recovery(outcome, len(shards))
-        return outcome.results, outcome
+        return _dispatch(executor, _run_shard, tasks, deadline)
 
 
-def _log_shard_recovery(outcome: MapOutcome, shards: int) -> None:
-    """Structured record of in-run fault recovery (retries, pool rebuilds).
+def _dispatch(executor: ParallelExecutor, fn, items, deadline) -> MapOutcome:
+    """``executor.run`` in a ``shard_dispatch`` span, logging any recovery.
 
-    The executor already absorbed the faults; this makes them visible to
-    operators, who otherwise only see the run's wall-clock stretch.
+    The executor already absorbed retries and pool rebuilds; the structured
+    record makes them visible to operators, who otherwise only see the
+    run's wall-clock stretch.
     """
+    with obs.span("shard_dispatch", shards=len(items), mode=executor.mode_label):
+        outcome = executor.run(fn, items, deadline=deadline)
     if outcome.task_retries or outcome.pool_rebuilds:
         logger.warning(
             "shard execution recovered: task_retries=%d pool_rebuilds=%d "
             "shards=%d completed=%d elapsed=%.3fs",
             outcome.task_retries,
             outcome.pool_rebuilds,
-            shards,
+            len(items),
             outcome.num_completed,
             outcome.elapsed,
         )
+    return outcome
 
 
 def _remaining_budget(deadline: Optional[float], started: float) -> Optional[float]:
@@ -520,282 +437,483 @@ def _remaining_budget(deadline: Optional[float], started: float) -> Optional[flo
     return remaining
 
 
-def _settle_shards(
-    shard_plan: Sequence[int],
+def _settle(
     outcome: MapOutcome,
-    params: CrashSimParams,
-    num_nodes: int,
+    trials: int,
+    *,
+    degraded: bool,
+    achieved: float,
+    planned: int,
     n_r: int,
-    deadline: Optional[float],
-    log_context: Optional[dict] = None,
-) -> Tuple[int, bool, float]:
-    """Turn a shard outcome into ``(trials_completed, degraded, achieved_ε)``.
-
-    Raises :class:`DeadlineExceededError` (or the first shard error) when
-    *no* shard completed — with zero trials there is no estimator to
-    degrade to.  Emits a :class:`DegradedResultWarning` when the run is
-    partial, so silent quality loss cannot happen; ``log_context`` (query
-    source, master seed) rides along on the structured log record that
-    accompanies the warning.
-    """
-    context = " ".join(
-        f"{key}={value}" for key, value in (log_context or {}).items()
-    )
-    trials_completed = sum(
-        trials
-        for trials, done in zip(shard_plan, outcome.completed)
-        if done
-    )
-    if trials_completed == 0:
-        error = outcome.first_error()
-        if outcome.deadline_hit or outcome.cancelled or error is None:
-            reason = "cancelled" if outcome.cancelled else "deadline"
-            logger.error(
-                "query lost every trial shard: cause=%s shards_planned=%d "
-                "elapsed=%.3fs %s",
-                reason,
-                len(shard_plan),
-                outcome.elapsed,
-                context,
-            )
-            raise DeadlineExceededError(
-                f"no trial shard completed before the {reason} "
-                f"({outcome.elapsed:.3f}s elapsed, {len(shard_plan)} shards "
-                "planned); no estimate exists to degrade to",
-                deadline=deadline,
-                elapsed=outcome.elapsed,
-            )
-        raise error
-    degraded = trials_completed < n_r
-    achieved = params.achieved_epsilon(num_nodes, trials_completed)
-    if degraded:
-        lost = len(shard_plan) - outcome.num_completed
-        cause = (
-            "deadline"
-            if outcome.deadline_hit
-            else "cancellation"
-            if outcome.cancelled
-            else "shard failures"
-        )
-        _M_DEGRADED.inc()
-        _M_SHARDS_LOST.inc(lost)
-        obs.event(
-            "degrade",
-            cause=cause,
-            shards_lost=lost,
-            trials_completed=trials_completed,
-        )
-        logger.warning(
-            "degraded CrashSim estimate: cause=%s shards_completed=%d/%d "
-            "trials_completed=%d/%d achieved_epsilon=%.4g target_epsilon=%g %s",
-            cause,
-            outcome.num_completed,
-            len(shard_plan),
-            trials_completed,
-            n_r,
-            achieved,
-            params.epsilon,
-            context,
-        )
-        warnings.warn(
-            f"degraded CrashSim estimate: {lost} of {len(shard_plan)} trial "
-            f"shards lost to {cause}; averaging {trials_completed}/{n_r} "
-            f"trials widens the Lemma-3 bound to ε={achieved:.4g} "
-            f"(target ε={params.epsilon})",
-            DegradedResultWarning,
-            stacklevel=3,
-        )
-    return trials_completed, degraded, achieved
-
-
-def _settle_adaptive(
-    outcome,
     params: CrashSimParams,
-    shard_plan: Sequence[int],
     deadline: Optional[float],
-    elapsed: float,
-    log_context: Optional[dict] = None,
-    first_error: Optional[BaseException] = None,
+    log_context: dict,
 ) -> None:
-    """Post-run accounting for an adaptive round loop.
+    """The one fault rule: raise on no trials, warn on a partial estimate.
 
-    Mirrors :func:`_settle_shards`: zero completed trials raise (nothing to
-    degrade to); an interrupted run that had *not* converged warns as
-    degraded, with the honest bound — which for adaptive runs is the better
-    of the inverted Lemma-3 bound and the empirical-Bernstein bound, so the
-    metadata is never worse than a fixed run of the same length would
-    report.  A run that converged before the interruption is a full-quality
-    early stop, not a degradation.
+    ``outcome`` covers every shard the run attempted and ``trials`` counts
+    the completed ones.  Zero completed trials leave no estimator to
+    degrade to: the run raises :class:`DeadlineExceededError` after a
+    deadline or cancellation (or when no shard recorded an error), else the
+    first shard error.  A ``degraded`` run returns its estimate with the
+    honest ``achieved`` bound, and emits a :class:`DegradedResultWarning`
+    plus a structured log record carrying ``log_context`` (query source,
+    master seed), so quality loss is never silent.
     """
-    context = " ".join(
-        f"{key}={value}" for key, value in (log_context or {}).items()
-    )
-    if outcome.trials_used == 0 and len(shard_plan) > 0:
-        if first_error is not None:
-            raise first_error
+    context = " ".join(f"{key}={value}" for key, value in log_context.items())
+    if trials == 0 and planned:
+        error = outcome.first_error()
+        if error is not None and not (outcome.deadline_hit or outcome.cancelled):
+            raise error
+        reason = "cancelled" if outcome.cancelled else "deadline"
         logger.error(
-            "adaptive query lost every trial shard: shards_planned=%d "
+            "query lost every trial shard: cause=%s shards_planned=%d "
             "elapsed=%.3fs %s",
-            len(shard_plan),
-            elapsed,
+            reason,
+            planned,
+            outcome.elapsed,
             context,
         )
         raise DeadlineExceededError(
-            f"no trial shard completed before the deadline ({elapsed:.3f}s "
-            f"elapsed, {len(shard_plan)} shards planned); no estimate "
-            "exists to degrade to",
+            f"no trial shard completed before the {reason} "
+            f"({outcome.elapsed:.3f}s elapsed, {planned} shards "
+            "planned); no estimate exists to degrade to",
             deadline=deadline,
-            elapsed=elapsed,
+            elapsed=outcome.elapsed,
         )
-    if not outcome.degraded:
+    if not degraded:
         return
-    _M_DEGRADED.inc()
-    if outcome.shards_lost:
-        _M_SHARDS_LOST.inc(outcome.shards_lost)
-    obs.event(
-        "degrade",
-        cause="deadline",
-        shards_lost=outcome.shards_lost,
-        trials_completed=outcome.trials_used,
+    lost = len(outcome.completed) - outcome.num_completed
+    cause = (
+        "deadline"
+        if outcome.deadline_hit
+        else "cancellation"
+        if outcome.cancelled
+        else "shard failures"
     )
+    _M_DEGRADED.inc()
+    _M_SHARDS_LOST.inc(lost)
+    obs.event("degrade", cause=cause, shards_lost=lost, trials_completed=trials)
     logger.warning(
-        "degraded adaptive CrashSim estimate: trials_completed=%d/%d "
-        "rounds_run=%d achieved_epsilon=%.4g target_epsilon=%g %s",
-        outcome.trials_used,
-        outcome.n_r,
-        outcome.rounds_run,
-        outcome.achieved_epsilon,
+        "degraded CrashSim estimate: cause=%s shards_lost=%d/%d "
+        "trials_completed=%d/%d achieved_epsilon=%.4g target_epsilon=%g %s",
+        cause,
+        lost,
+        planned,
+        trials,
+        n_r,
+        achieved,
         params.epsilon,
         context,
     )
     warnings.warn(
-        f"degraded adaptive CrashSim estimate: interrupted after "
-        f"{outcome.trials_used}/{outcome.n_r} trials "
-        f"({outcome.rounds_run} rounds) before the stopper converged; "
-        f"honest bound ε={outcome.achieved_epsilon:.4g} "
-        f"(target ε={params.epsilon})",
+        f"degraded CrashSim estimate: {lost} of {planned} trial shards lost "
+        f"to {cause}; {trials}/{n_r} trials give the honest bound "
+        f"ε={achieved:.4g} (target ε={params.epsilon})",
         DegradedResultWarning,
-        stacklevel=4,
+        stacklevel=6,
     )
 
 
-def _parallel_adaptive(
-    graph: DiGraph,
+def _plan(n_r: int, num_targets: int, shards: Optional[int]) -> List[int]:
+    """The query's shard plan: autotuned, or ``shards`` near-equal parts.
+
+    ``num_targets`` counts walk targets times sources: a multi-source walk
+    is scored against all ``q`` trees, so its trial costs ~q× the
+    single-source nominal.
+    """
+    if shards is None:
+        plan = plan_shards(n_r, num_targets, n_r=n_r)
+    else:
+        plan = shard_sizes(n_r, shards)
+    _M_SHARD_PLAN.set(len(plan))
+    return plan
+
+
+def _run_fixed(
+    executor: ParallelExecutor,
+    graph,
     tree,
-    walk_targets: np.ndarray,
+    targets: np.ndarray,
+    job: _Job,
     params: CrashSimParams,
     *,
-    num_nodes: int,
+    plan: Sequence[int],
     seed_seq: np.random.SeedSequence,
-    executor: Optional[ParallelExecutor],
-    workers: Optional[int],
-    shards: Optional[int],
+    num_nodes: int,
+    shape: tuple,
     deadline: Optional[float],
     started: float,
-    sampler: str,
-    mode: str,
-    multi: bool,
-    num_sources: int = 1,
-    value_bound=None,
-    log_context: Optional[dict] = None,
-):
-    """Adaptive round loop over the parallel tiers.
-
-    One deterministic shard plan + seed spawn covers the whole potential
-    run; rounds are plan *slices* mapped through :func:`_map_shards`
-    (``index_offset`` keeps global shard identities), the stopper folds
-    completed shard moments in shard order, and the stop decision happens
-    between rounds — so the result is byte-identical to the serial
-    adaptive driver at any worker count, on any tier.  The deadline budget
-    is re-measured before every round; an expiry mid-run keeps whatever
-    rounds completed.
-    """
-    from repro.core.adaptive import (
-        AdaptiveStopper,
-        build_hub_cache,
-        drive_adaptive_rounds,
-        plan_rounds,
-        walk_value_bound,
+    log_context: dict,
+) -> _Estimate:
+    """All ``n_r`` trials in one sharded map, summed in shard order."""
+    n_r = sum(plan)
+    outcome = _map_shards(
+        executor,
+        graph,
+        tree,
+        targets,
+        job,
+        plan,
+        seed_seq.spawn(len(plan)),
+        deadline=_remaining_budget(deadline, started),
     )
+    trials = sum(size for size, done in zip(plan, outcome.completed) if done)
+    achieved = params.achieved_epsilon(num_nodes, max(trials, 1))
+    _settle(
+        outcome, trials, degraded=trials < n_r, achieved=achieved,
+        planned=len(plan), n_r=n_r, params=params, deadline=deadline,
+        log_context=log_context,
+    )
+    # Sum in shard order: float addition order is part of the
+    # worker-count-independence contract.  Lost shards are skipped, not
+    # zero-filled — the divisor shrinks with them.
+    totals = np.zeros(shape, dtype=np.float64)
+    for shard_total, done in zip(outcome.results, outcome.completed):
+        if done:
+            totals += shard_total
+    return _Estimate(totals, trials, trials < n_r, achieved)
 
-    l_max = params.l_max
+
+def _run_adaptive(
+    executor: ParallelExecutor,
+    graph,
+    tree,
+    targets: np.ndarray,
+    job: _Job,
+    params: CrashSimParams,
+    *,
+    shards: Optional[int],
+    seed_seq: np.random.SeedSequence,
+    num_nodes: int,
+    num_estimates: int,
+    value_bound,
+    deadline: Optional[float],
+    started: float,
+    log_context: dict,
+) -> AdaptiveOutcome:
+    """Adaptive rounds over the shard plan, on any tier.
+
+    One deterministic plan + seed spawn covers the whole potential run;
+    rounds are plan *slices* mapped through :func:`_map_shards`, the
+    stopper folds completed shard moments in shard order, and the stop
+    decision happens between rounds — so the result is byte-identical at
+    any worker count, on any tier, ``workers=1`` included.  The deadline
+    budget is re-measured before every round; an expiry mid-run keeps
+    whatever rounds completed.
+    """
     n_r = params.n_r(num_nodes)
-    if walk_targets.size == 0:
+    if not num_estimates:
         stopper = AdaptiveStopper(params, 0, 0.0, 1)
         return drive_adaptive_rounds(
-            [], [], stopper, lambda *_: ([], False),
-            num_nodes=num_nodes, n_r=n_r,
+            [], [], stopper, lambda *_: ([], False), num_nodes=num_nodes, n_r=n_r
         )
-    if shards is None:
-        shard_plan = plan_shards(
-            n_r, walk_targets.size * num_sources, n_r=n_r
+    plan = _plan(n_r, num_estimates, shards)
+    seeds = seed_seq.spawn(len(plan))
+    job = replace(job, moments=True)
+    if not job.multi:
+        job = replace(
+            job, hub_cache=build_hub_cache(graph, tree, l_max=job.l_max, c=job.c)
         )
-    else:
-        shard_plan = shard_sizes(n_r, shards)
-    _M_SHARD_PLAN.set(len(shard_plan))
-    seeds = seed_seq.spawn(len(shard_plan))
-    hub_cache = (
-        None if multi else build_hub_cache(graph, tree, l_max=l_max, c=params.c)
-    )
-    if value_bound is None:
-        value_bound = walk_value_bound(tree, l_max)
     stopper = AdaptiveStopper(
-        params,
-        walk_targets.size * num_sources,
-        value_bound,
-        len(plan_rounds(len(shard_plan))),
+        params, num_estimates, value_bound, len(plan_rounds(len(plan)))
     )
-
-    errors: List[BaseException] = []
+    attempted = MapOutcome()
 
     def run_round(start, sizes, round_seeds):
         try:
             remaining = _remaining_budget(deadline, started)
         except DeadlineExceededError:
-            if stopper.trials > 0:
-                return [None] * len(sizes), True
-            raise
-        shard_totals, outcome = _map_shards(
-            executor,
-            workers,
-            graph,
-            tree,
-            walk_targets,
-            sizes,
-            round_seeds,
-            c=params.c,
-            l_max=l_max,
-            multi=multi,
-            deadline=remaining,
-            sampler=sampler,
-            mode=mode,
-            moments=True,
-            hub_cache=hub_cache,
-            index_offset=start,
+            if stopper.trials == 0:
+                raise
+            attempted.completed.extend([False] * len(sizes))
+            attempted.deadline_hit = True
+            return [None] * len(sizes), True
+        outcome = _map_shards(
+            executor, graph, tree, targets, job, sizes, round_seeds,
+            deadline=remaining, index_offset=start,
         )
-        if not errors:
-            error = outcome.first_error()
-            if error is not None:
-                errors.append(error)
+        attempted.completed.extend(outcome.completed)
+        attempted.errors.extend(outcome.errors)
+        attempted.deadline_hit |= outcome.deadline_hit
+        attempted.cancelled |= outcome.cancelled
         results = [
-            (stacked[0], stacked[1]) if done and stacked is not None else None
-            for stacked, done in zip(shard_totals, outcome.completed)
+            moments if done else None
+            for moments, done in zip(outcome.results, outcome.completed)
         ]
         return results, outcome.deadline_hit or outcome.cancelled
 
-    adaptive_outcome = drive_adaptive_rounds(
-        shard_plan, seeds, stopper, run_round, num_nodes=num_nodes, n_r=n_r
+    result = drive_adaptive_rounds(
+        plan, seeds, stopper, run_round, num_nodes=num_nodes, n_r=n_r
     )
-    _settle_adaptive(
-        adaptive_outcome,
+    attempted.elapsed = time.monotonic() - started
+    _settle(
+        attempted, result.trials_used, degraded=result.degraded,
+        achieved=result.achieved_epsilon, planned=len(plan), n_r=n_r,
+        params=params, deadline=deadline, log_context=log_context,
+    )
+    return result
+
+
+def _run_trials(
+    graph,
+    tree,
+    targets: np.ndarray,
+    params: CrashSimParams,
+    *,
+    multi: bool,
+    seed: RngLike,
+    sampler: str,
+    adaptive: bool,
+    one_stream: bool,
+    first_meeting: str,
+    workers: Optional[int],
+    executor: Optional[ParallelExecutor],
+    shards: Optional[int],
+    deadline: Optional[float],
+    mode: str,
+    started: float,
+    log_context: dict,
+) -> _Estimate:
+    """Plan, run, fold and settle one query's trials.
+
+    ``tree`` is the source's tree, or the list of source trees when
+    ``multi``.  ``one_stream`` runs a fixed-``n_r`` query as the classic
+    serial estimator — every trial on the caller's generator, no executor;
+    adaptive queries always shard.
+    """
+    num_nodes = max(graph.num_nodes, 2)
+    n_r = params.n_r(num_nodes)
+    job = _Job(params.c, params.l_max, sampler, multi)
+    num_sources = len(tree) if multi else 1
+    shape = (num_sources, targets.size) if multi else (targets.size,)
+    if one_stream and not adaptive:
+        rng = ensure_rng(seed)
+        if first_meeting == "dp":
+            totals = _accumulate_crashes_dp(graph, tree, targets, n_r, params, rng)
+        else:
+            kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
+            totals = _accumulate(kernel, job, tree, targets, n_r, rng)
+        return _Estimate(totals, n_r)
+    if executor is None:
+        executor = get_default_executor(workers, mode=mode)
+    seed_seq = as_seed_sequence(seed)
+    sparse_trees = tree if multi else [tree]
+    if multi:
+        tree = np.stack([t.matrix for t in sparse_trees])
+    if adaptive:
+        # Per-walk ranges sum each sparse tree's level maxima in order; a
+        # numpy sum over the stacked rows may round differently.
+        bounds = [walk_value_bound(t, params.l_max) for t in sparse_trees]
+        value_bound = np.repeat(bounds, targets.size) if multi else bounds[0]
+        outcome = _run_adaptive(
+            executor, graph, tree, targets, job, params,
+            shards=shards,
+            seed_seq=seed_seq,
+            num_nodes=num_nodes,
+            num_estimates=targets.size * num_sources,
+            value_bound=value_bound,
+            deadline=deadline,
+            started=started,
+            log_context=log_context,
+        )
+        return _Estimate(
+            outcome.totals.reshape(shape),
+            outcome.trials_used,
+            outcome.degraded,
+            outcome.achieved_epsilon,
+            outcome.stopped_early,
+        )
+    if not targets.size:
+        achieved = params.achieved_epsilon(num_nodes, n_r)
+        return _Estimate(np.zeros(shape), n_r, False, achieved)
+    return _run_fixed(
+        executor, graph, tree, targets, job, params,
+        plan=_plan(n_r, targets.size * num_sources, shards),
+        seed_seq=seed_seq,
+        num_nodes=num_nodes,
+        shape=shape,
+        deadline=deadline,
+        started=started,
+        log_context=log_context,
+    )
+
+
+def drive_single(
+    graph: DiGraph,
+    source: int,
+    *,
+    candidates: Optional[Iterable[int]],
+    params: Optional[CrashSimParams],
+    tree,
+    tree_variant: str,
+    seed: RngLike,
+    sampler: str,
+    adaptive: bool,
+    one_stream: bool = False,
+    first_meeting: str = "none",
+    workers: Optional[int] = None,
+    executor: Optional[ParallelExecutor] = None,
+    shards: Optional[int] = None,
+    deadline: Optional[float] = None,
+    mode: str = "auto",
+) -> CrashSimResult:
+    """One single-source query: prologue, trials, epilogue.
+
+    The body of :func:`~repro.core.crashsim.crashsim` (``workers=1``,
+    ``one_stream=True``) and of :func:`parallel_crashsim`.
+    """
+    params = params or CrashSimParams()
+    started = time.monotonic()
+    if not 0 <= int(source) < graph.num_nodes:
+        raise ParameterError(
+            f"source {source} outside the graph's node range [0, {graph.num_nodes})"
+        )
+    if deadline is not None and deadline <= 0:
+        raise ParameterError(f"deadline must be positive, got {deadline}")
+    source = int(source)
+    candidate_array = resolve_candidates(graph, source, candidates)
+    if tree is None:
+        tree = revreach_levels(
+            graph, source, params.l_max, params.c, variant=tree_variant
+        )
+    elif (
+        tree.source != source
+        or tree.l_max != params.l_max
+        or tree.variant != tree_variant
+        or not math.isclose(tree.c, params.c)
+    ):
+        raise ParameterError(
+            "provided tree does not match the query's source/c/l_max/variant"
+        )
+    walk_targets = candidate_array[candidate_array != source]
+    # A candidate with no in-neighbours cannot take a single walk step, so
+    # its estimator is exactly 0 — drop it before paying n_r walks for it.
+    walk_targets = walk_targets[graph.in_degrees()[walk_targets] > 0]
+
+    estimate = _run_trials(
+        graph,
+        tree,
+        walk_targets,
         params,
-        shard_plan,
-        deadline,
-        time.monotonic() - started,
-        log_context,
-        first_error=errors[0] if errors else None,
+        multi=False,
+        seed=seed,
+        sampler=sampler,
+        adaptive=adaptive,
+        one_stream=one_stream,
+        first_meeting=first_meeting,
+        workers=workers,
+        executor=executor,
+        shards=shards,
+        deadline=deadline,
+        mode=mode,
+        started=started,
+        log_context={"source": source, "seed": seed},
     )
-    return adaptive_outcome
+    scores = np.zeros(candidate_array.size, dtype=np.float64)
+    walk_positions = np.searchsorted(candidate_array, walk_targets)
+    scores[walk_positions] = estimate.totals / max(estimate.trials, 1)
+    scores[candidate_array == source] = 1.0
+    return CrashSimResult(
+        source=source,
+        candidates=candidate_array,
+        scores=np.clip(scores, 0.0, 1.0),
+        n_r=params.n_r(max(graph.num_nodes, 2)),
+        params=params,
+        tree=tree,
+        trials_completed=estimate.trials,
+        degraded=estimate.degraded,
+        achieved_epsilon=estimate.achieved_epsilon,
+        stopped_early=estimate.stopped_early,
+    )
+
+
+def drive_multi(
+    graph: DiGraph,
+    sources: Sequence[int],
+    *,
+    candidates: Optional[Iterable[int]],
+    params: Optional[CrashSimParams],
+    tree_variant: str,
+    seed: RngLike,
+    sampler: str,
+    adaptive: bool,
+    one_stream: bool = False,
+    workers: Optional[int] = None,
+    executor: Optional[ParallelExecutor] = None,
+    shards: Optional[int] = None,
+    deadline: Optional[float] = None,
+    mode: str = "auto",
+) -> List[CrashSimResult]:
+    """One multi-source query: prologue, shared-walk trials, epilogue.
+
+    The body of :func:`~repro.core.multi_source.crashsim_multi_source`
+    (``workers=1``, ``one_stream=True``) and of
+    :func:`parallel_crashsim_multi_source`.
+    """
+    params = params or CrashSimParams()
+    started = time.monotonic()
+    source_list = [int(s) for s in sources]
+    if not source_list:
+        return []
+    for source in source_list:
+        if not 0 <= source < graph.num_nodes:
+            raise ParameterError(
+                f"source {source} outside the node range [0, {graph.num_nodes})"
+            )
+    if deadline is not None and deadline <= 0:
+        raise ParameterError(f"deadline must be positive, got {deadline}")
+    # No node is -1, so ``None`` keeps every node; each result drops its
+    # own source below.
+    candidate_array = resolve_candidates(graph, -1, candidates)
+    trees = [
+        revreach_levels(graph, source, params.l_max, params.c, variant=tree_variant)
+        for source in source_list
+    ]
+    # Walk once for every candidate that can walk at all.
+    walk_targets = candidate_array[graph.in_degrees()[candidate_array] > 0]
+
+    estimate = _run_trials(
+        graph,
+        trees,
+        walk_targets,
+        params,
+        multi=True,
+        seed=seed,
+        sampler=sampler,
+        adaptive=adaptive,
+        one_stream=one_stream,
+        first_meeting="none",
+        workers=workers,
+        executor=executor,
+        shards=shards,
+        deadline=deadline,
+        mode=mode,
+        started=started,
+        log_context={"sources": source_list, "seed": seed},
+    )
+    n_r = params.n_r(max(graph.num_nodes, 2))
+    walk_positions = np.searchsorted(candidate_array, walk_targets)
+    results: List[CrashSimResult] = []
+    for row, (source, tree) in enumerate(zip(source_list, trees)):
+        scores = np.zeros(candidate_array.size, dtype=np.float64)
+        scores[walk_positions] = estimate.totals[row] / max(estimate.trials, 1)
+        keep = candidate_array != source
+        results.append(
+            CrashSimResult(
+                source=source,
+                candidates=candidate_array[keep],
+                scores=np.clip(scores[keep], 0.0, 1.0),
+                n_r=n_r,
+                params=params,
+                tree=tree,
+                trials_completed=estimate.trials,
+                degraded=estimate.degraded,
+                achieved_epsilon=estimate.achieved_epsilon,
+                stopped_early=estimate.stopped_early,
+            )
+        )
+    return results
 
 
 def parallel_crashsim(
@@ -882,127 +1000,21 @@ def parallel_crashsim(
     Theorem-1 ``(ε, δ)`` guarantee carries over unchanged when all shards
     complete, and degrades to the inverted Lemma-3 bound when they don't.
     """
-    params = params or CrashSimParams()
-    started = time.monotonic()
-    if not 0 <= int(source) < graph.num_nodes:
-        raise ParameterError(
-            f"source {source} outside the graph's node range [0, {graph.num_nodes})"
-        )
-    if deadline is not None and deadline <= 0:
-        raise ParameterError(f"deadline must be positive, got {deadline}")
-    source = int(source)
-    seed_seq = as_seed_sequence(seed)
-    candidate_array = resolve_candidates(graph, source, candidates)
-    l_max = params.l_max
-    num_nodes = max(graph.num_nodes, 2)
-    n_r = params.n_r(num_nodes)
-
-    if tree is None:
-        tree = revreach_levels(
-            graph, source, l_max, params.c, variant=tree_variant
-        )
-    elif (
-        tree.source != source
-        or tree.l_max != l_max
-        or tree.variant != tree_variant
-        or not math.isclose(tree.c, params.c)
-    ):
-        raise ParameterError(
-            "provided tree does not match the query's source/c/l_max/variant"
-        )
-
-    walk_targets = candidate_array[candidate_array != source]
-    walk_targets = walk_targets[graph.in_degrees()[walk_targets] > 0]
-
-    if adaptive:
-        outcome = _parallel_adaptive(
-            graph,
-            tree,
-            walk_targets,
-            params,
-            num_nodes=num_nodes,
-            seed_seq=seed_seq,
-            executor=executor,
-            workers=workers,
-            shards=shards,
-            deadline=deadline,
-            started=started,
-            sampler=sampler,
-            mode=mode,
-            multi=False,
-            log_context={"source": source, "seed": seed},
-        )
-        scores = np.zeros(candidate_array.size, dtype=np.float64)
-        walk_positions = np.searchsorted(candidate_array, walk_targets)
-        scores[walk_positions] = outcome.totals / max(outcome.trials_used, 1)
-        scores[candidate_array == source] = 1.0
-        scores = np.clip(scores, 0.0, 1.0)
-        return CrashSimResult(
-            source=source,
-            candidates=candidate_array,
-            scores=scores,
-            n_r=n_r,
-            params=params,
-            tree=tree,
-            trials_completed=outcome.trials_used,
-            degraded=outcome.degraded,
-            achieved_epsilon=outcome.achieved_epsilon,
-            stopped_early=outcome.stopped_early,
-        )
-
-    trials_completed = n_r
-    degraded = False
-    achieved = params.achieved_epsilon(num_nodes, n_r)
-    totals = np.zeros(walk_targets.size, dtype=np.float64)
-    if walk_targets.size:
-        if shards is None:
-            shard_plan = plan_shards(n_r, walk_targets.size, n_r=n_r)
-        else:
-            shard_plan = shard_sizes(n_r, shards)
-        _M_SHARD_PLAN.set(len(shard_plan))
-        seeds = seed_seq.spawn(len(shard_plan))
-        remaining = _remaining_budget(deadline, started)
-        shard_totals, outcome = _map_shards(
-            executor,
-            workers,
-            graph,
-            tree,
-            walk_targets,
-            shard_plan,
-            seeds,
-            c=params.c,
-            l_max=l_max,
-            multi=False,
-            deadline=remaining,
-            sampler=sampler,
-            mode=mode,
-        )
-        trials_completed, degraded, achieved = _settle_shards(
-            shard_plan, outcome, params, num_nodes, n_r, deadline,
-            log_context={"source": source, "seed": seed},
-        )
-        # Sum in shard order: float addition order is part of the
-        # worker-count-independence contract.  Lost shards are skipped,
-        # not zero-filled — the divisor below shrinks with them.
-        for shard_total, done in zip(shard_totals, outcome.completed):
-            if done:
-                totals += shard_total
-
-    scores = np.zeros(candidate_array.size, dtype=np.float64)
-    walk_positions = np.searchsorted(candidate_array, walk_targets)
-    scores[walk_positions] = totals / trials_completed
-    scores[candidate_array == source] = 1.0
-    scores = np.clip(scores, 0.0, 1.0)
-    return CrashSimResult(
-        source=source,
-        candidates=candidate_array,
-        scores=scores,
-        n_r=n_r,
+    return drive_single(
+        graph,
+        source,
+        candidates=candidates,
         params=params,
         tree=tree,
-        trials_completed=trials_completed,
-        degraded=degraded,
-        achieved_epsilon=achieved,
+        tree_variant=tree_variant,
+        seed=seed,
+        sampler=sampler,
+        adaptive=adaptive,
+        workers=workers,
+        executor=executor,
+        shards=shards,
+        deadline=deadline,
+        mode=mode,
     )
 
 
@@ -1039,133 +1051,18 @@ def parallel_crashsim_multi_source(
     every source's stop decision (the run stops when the worst
     ``(source, candidate)`` half-width is within ε).
     """
-    params = params or CrashSimParams()
-    started = time.monotonic()
-    source_list = [int(s) for s in sources]
-    if not source_list:
-        return []
-    for source in source_list:
-        if not 0 <= source < graph.num_nodes:
-            raise ParameterError(
-                f"source {source} outside the node range [0, {graph.num_nodes})"
-            )
-    if deadline is not None and deadline <= 0:
-        raise ParameterError(f"deadline must be positive, got {deadline}")
-    seed_seq = as_seed_sequence(seed)
-    l_max = params.l_max
-    num_nodes = max(graph.num_nodes, 2)
-    n_r = params.n_r(num_nodes)
-
-    if candidates is None:
-        candidate_array = np.arange(graph.num_nodes, dtype=np.int64)
-    else:
-        candidate_array = np.unique(np.asarray(list(candidates), dtype=np.int64))
-        if candidate_array.size and (
-            candidate_array.min() < 0 or candidate_array.max() >= graph.num_nodes
-        ):
-            raise ParameterError("candidate node outside the graph's node range")
-
-    trees = [
-        revreach_levels(graph, source, l_max, params.c, variant=tree_variant)
-        for source in source_list
-    ]
-    stacked = np.stack([tree.matrix for tree in trees])
-
-    walk_targets = candidate_array[graph.in_degrees()[candidate_array] > 0]
-    stopped_early = False
-    if adaptive:
-        from repro.core.adaptive import walk_value_bound
-
-        bounds = np.repeat(
-            [walk_value_bound(tree, l_max) for tree in trees],
-            walk_targets.size,
-        )
-        outcome = _parallel_adaptive(
-            graph,
-            stacked,
-            walk_targets,
-            params,
-            num_nodes=num_nodes,
-            seed_seq=seed_seq,
-            executor=executor,
-            workers=workers,
-            shards=shards,
-            deadline=deadline,
-            started=started,
-            sampler=sampler,
-            mode=mode,
-            multi=True,
-            num_sources=len(source_list),
-            value_bound=bounds,
-            log_context={"sources": source_list, "seed": seed},
-        )
-        trials_completed = outcome.trials_used
-        degraded = outcome.degraded
-        achieved = outcome.achieved_epsilon
-        stopped_early = outcome.stopped_early
-        totals = outcome.totals.reshape(len(source_list), walk_targets.size)
-    else:
-        trials_completed = n_r
-        degraded = False
-        achieved = params.achieved_epsilon(num_nodes, n_r)
-        totals = np.zeros(
-            (len(source_list), walk_targets.size), dtype=np.float64
-        )
-    if not adaptive and walk_targets.size:
-        if shards is None:
-            # Every walk is scored against all q trees, so a trial costs
-            # ~q× the single-source nominal — fold that into the plan.
-            shard_plan = plan_shards(
-                n_r, walk_targets.size * len(source_list), n_r=n_r
-            )
-        else:
-            shard_plan = shard_sizes(n_r, shards)
-        _M_SHARD_PLAN.set(len(shard_plan))
-        seeds = seed_seq.spawn(len(shard_plan))
-        remaining = _remaining_budget(deadline, started)
-        shard_totals, outcome = _map_shards(
-            executor,
-            workers,
-            graph,
-            stacked,
-            walk_targets,
-            shard_plan,
-            seeds,
-            c=params.c,
-            l_max=l_max,
-            multi=True,
-            deadline=remaining,
-            sampler=sampler,
-            mode=mode,
-        )
-        trials_completed, degraded, achieved = _settle_shards(
-            shard_plan, outcome, params, num_nodes, n_r, deadline,
-            log_context={"sources": source_list, "seed": seed},
-        )
-        for shard_total, done in zip(shard_totals, outcome.completed):
-            if done:
-                totals += shard_total
-
-    results: List[CrashSimResult] = []
-    walk_positions = np.searchsorted(candidate_array, walk_targets)
-    for row, (source, tree) in enumerate(zip(source_list, trees)):
-        per_source = candidate_array[candidate_array != source]
-        scores = np.zeros(candidate_array.size, dtype=np.float64)
-        scores[walk_positions] = totals[row] / max(trials_completed, 1)
-        scores[candidate_array == source] = 1.0
-        keep = candidate_array != source
-        results.append(
-            CrashSimResult(
-                source=source,
-                candidates=per_source,
-                scores=np.clip(scores[keep], 0.0, 1.0),
-                n_r=n_r,
-                params=params,
-                tree=tree,
-                trials_completed=trials_completed,
-                degraded=degraded,
-                achieved_epsilon=achieved,
-                stopped_early=stopped_early,
-            )
-        )
-    return results
+    return drive_multi(
+        graph,
+        sources,
+        candidates=candidates,
+        params=params,
+        tree_variant=tree_variant,
+        seed=seed,
+        sampler=sampler,
+        adaptive=adaptive,
+        workers=workers,
+        executor=executor,
+        shards=shards,
+        deadline=deadline,
+        mode=mode,
+    )

@@ -8,11 +8,7 @@ advances thousands of walks per NumPy step and powers CrashSim and READS.
 """
 
 from repro.walks.engine import BatchWalkStepper, WalkBatch
-from repro.walks.kernel import (
-    SAMPLERS,
-    WalkCrashKernel,
-    fused_accumulate_crash_totals,
-)
+from repro.walks.kernel import SAMPLERS, WalkCrashKernel
 from repro.walks.sqrt_c import (
     expected_walk_length,
     sample_sqrt_c_walk,
@@ -26,6 +22,5 @@ __all__ = [
     "BatchWalkStepper",
     "WalkBatch",
     "WalkCrashKernel",
-    "fused_accumulate_crash_totals",
     "SAMPLERS",
 ]

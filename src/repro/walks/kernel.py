@@ -1,6 +1,6 @@
 """Fused walk–crash kernel: CrashSim's inner loop without the generator.
 
-:func:`~repro.core.crashsim.accumulate_crash_totals` historically drove
+CrashSim's trial loop historically drove
 :class:`~repro.walks.engine.BatchWalkStepper.walk`, a Python generator that
 allocates fresh ``walk_ids``/``positions``/``draws`` arrays at every step and
 re-``np.tile``\\ s a megawalk-sized start array per chunk.  The per-walk maths
@@ -67,7 +67,6 @@ from repro.walks import _jit
 __all__ = [
     "WalkCrashKernel",
     "KernelPool",
-    "fused_accumulate_crash_totals",
     "DEFAULT_WALK_CHUNK",
     "DEFAULT_DENSE_ROW_BUDGET",
     "SAMPLERS",
@@ -346,8 +345,8 @@ class WalkCrashKernel:
         """``totals[i] = Σ_trials Σ_step U[step, W(targets[i])_step]``.
 
         Drop-in replacement for the generator-driven
-        ``accumulate_crash_totals`` body: identical RNG stream consumption,
-        bit-identical totals on the default sampler.
+        ``accumulate_crash_totals_reference``: identical RNG stream
+        consumption, bit-identical totals on the default sampler.
         """
         rng = ensure_rng(rng)
         targets = np.asarray(targets, dtype=np.int64)
@@ -911,23 +910,3 @@ class KernelPool:
     def __len__(self) -> int:
         with self._lock:
             return len(self._kernels)
-
-
-def fused_accumulate_crash_totals(
-    graph,
-    tree,
-    targets: np.ndarray,
-    n_trials: int,
-    *,
-    c: float,
-    l_max: int,
-    rng,
-    walk_chunk: int = DEFAULT_WALK_CHUNK,
-    sampler: str = "cdf",
-    use_jit: Optional[bool] = None,
-) -> np.ndarray:
-    """One-shot convenience: build a kernel, accumulate, return totals."""
-    kernel = WalkCrashKernel(graph, c, sampler=sampler, use_jit=use_jit)
-    return kernel.accumulate(
-        tree, targets, n_trials, l_max=l_max, rng=rng, walk_chunk=walk_chunk
-    )

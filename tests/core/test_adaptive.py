@@ -36,6 +36,7 @@ from repro.errors import DegradedResultWarning, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.parallel import parallel_crashsim, parallel_crashsim_multi_source
+from repro.walks.kernel import WalkCrashKernel
 
 EPS = 0.1
 PARAMS = CrashSimParams(epsilon=EPS)
@@ -172,25 +173,31 @@ class TestExactExpectationAndHubs:
 
     def test_hub_cache_preserves_the_estimate(self, graph, tree):
         # Rao-Blackwellisation must not move the estimator's target: with
-        # and without the hub cache, both adaptive means stay within ε of
-        # the exact expectation (deterministic at pinned seeds).
-        from repro.core.adaptive import adaptive_crash_totals
-
+        # and without the hub cache, the moment means stay within ε of the
+        # exact expectation, and retiring walks at hubs can only shrink the
+        # per-walk variance (deterministic at pinned seeds).
         targets = np.flatnonzero(graph.in_degrees() > 0)
         targets = targets[targets != 3]
         exact = exact_expectation(graph, tree, l_max=PARAMS.l_max, c=PARAMS.c)
+        trials = 256
+        variances = []
         for num_hubs in (0, 64):
-            outcome = adaptive_crash_totals(
-                graph,
+            cache = build_hub_cache(
+                graph, tree, l_max=PARAMS.l_max, c=PARAMS.c, num_hubs=num_hubs
+            )
+            assert (cache is None) == (num_hubs == 0)
+            totals, sumsq = WalkCrashKernel(graph, PARAMS.c).accumulate_moments(
                 tree,
                 targets,
-                PARAMS,
-                num_nodes=graph.num_nodes,
-                seed=17,
-                num_hubs=num_hubs,
+                trials,
+                l_max=PARAMS.l_max,
+                rng=np.random.default_rng(17),
+                hub_cache=cache,
             )
-            mean = outcome.totals / max(outcome.trials_used, 1)
+            mean = totals / trials
             assert np.abs(mean - exact[targets]).max() <= EPS
+            variances.append((sumsq / trials - mean * mean).mean())
+        assert variances[1] < variances[0]
 
 
 class TestAdaptiveEndToEnd:
@@ -208,7 +215,7 @@ class TestAdaptiveEndToEnd:
         assert np.abs(dense[walkable] - exact[walkable]).max() <= EPS
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_byte_identical_across_tiers(self, graph, mode, workers):
         serial = crashsim(graph, 3, params=PARAMS, seed=42, adaptive=True)
         parallel = parallel_crashsim(
@@ -318,6 +325,32 @@ class TestAdaptiveDegradation:
             result.achieved_epsilon
             <= params.achieved_epsilon(graph.num_nodes, 60)
         )
+
+    def test_serial_adaptive_degrades_like_the_sharded_driver(self, graph):
+        # Serial adaptive is the workers=1 case of the sharded driver, so a
+        # persistently failing shard degrades it the same way.  ε is too
+        # tight for 2,000 trials (12 autotuned shards) to converge.
+        params = CrashSimParams(epsilon=0.005, n_r_override=2000)
+        with faults.active({"shard": {"1": {"kind": "raise", "times": 99}}}):
+            with pytest.warns(DegradedResultWarning):
+                serial = crashsim(graph, 3, params=params, seed=42, adaptive=True)
+            with pytest.warns(DegradedResultWarning):
+                sharded = parallel_crashsim(
+                    graph, 3, params=params, seed=42, workers=2,
+                    mode="thread", adaptive=True,
+                )
+        assert serial.degraded and not serial.stopped_early
+        assert serial.trials_completed == 2000 - 167
+        assert np.array_equal(serial.scores, sharded.scores)
+        assert serial.achieved_epsilon == sharded.achieved_epsilon
+
+    def test_serial_adaptive_with_no_completed_trial_raises(self, graph):
+        # One shard (n_r=64 on 300 nodes) that never completes: nothing to
+        # degrade to, so the shard's error surfaces.
+        params = CrashSimParams(epsilon=0.025, n_r_override=64)
+        with faults.active({"shard": {"0": {"kind": "raise", "times": 99}}}):
+            with pytest.raises(faults.InjectedFault):
+                crashsim(graph, 3, params=params, seed=42, adaptive=True)
 
     def test_exhausted_run_not_degraded(self, graph):
         # Too few trials to converge, but none lost: the run is honest

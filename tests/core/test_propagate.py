@@ -220,16 +220,15 @@ class TestDifferential:
         assert _paths_taken(graph, frontier, expected) == {"scatter", "reuse"}
 
     def test_zero_bins_drop_on_both_branches(self):
-        # Node 0's in-arcs: a normal one from 1 and one from 2 weighing the
-        # smallest subnormal, whose transition (0.4 * 5e-324) underflows to
-        # exactly 0.0.  With n = 3 the level scatters; padded to n = 64 it
-        # sorts.  Node 2 must drop either way.
+        # Node 0's in-arcs: a heavy one from 1 and one from 2 weighing the
+        # smallest normal float, whose transition (mass / 1e16 * tiny)
+        # underflows to exactly 0.0.  With n = 3 the level scatters; padded
+        # to n = 64 it sorts.  Node 2 must drop either way.
         frontier = np.array([0], dtype=np.int64)
         probs = np.array([0.5])
+        weights = np.array([1e16, np.finfo(float).tiny])
         for n, branch in ((3, "scatter"), (64, "sort")):
-            graph = DiGraph(
-                n, np.array([1, 2]), np.array([0, 0]), weights=np.array([1.0, 5e-324])
-            )
+            graph = DiGraph(n, np.array([1, 2]), np.array([0, 0]), weights=weights)
             levels = _propagate_sparse(graph, frontier, probs, 1, 0.8, "corrected")
             assert levels[0][0].tolist() == [1]
             _assert_levels_identical(

@@ -115,6 +115,36 @@ class TestStreamingValidation:
         with pytest.raises(ParameterError):
             session.push_snapshot(first)
 
+    @pytest.mark.parametrize(
+        "added, removed",
+        [([(3, 4)], []), ([(-1, 1)], []), ([], [(2, 4)]), ([], [(-1, 0)])],
+        ids=["added-id-n", "added-id-minus-1", "removed-id-n", "removed-id-minus-1"],
+    )
+    def test_out_of_range_delta_rejected_untouched(self, added, removed):
+        first, _ = pair_snapshots()
+
+        def started():
+            session = TemporalQuerySession(
+                0, ThresholdQuery(theta=0.3), params=PARAMS, seed=9
+            )
+            session.push_snapshot(first)
+            return session
+
+        session = started()
+        survivors, scores = session.survivors, session.scores
+        with pytest.raises(ParameterError):
+            session.push_delta(added=added, removed=removed)
+        assert session.survivors == survivors
+        assert session.scores == scores
+        assert session.snapshots_seen == 1
+        # The rejected push left no trace: the next delta lands as if it
+        # were the session's first.
+        untouched = started()
+        assert session.push_delta(added=[(3, 1)]) == untouched.push_delta(
+            added=[(3, 1)]
+        )
+        assert session.scores == untouched.scores
+
     def test_survivors_empty_before_start(self):
         session = TemporalQuerySession(0, ThresholdQuery(theta=0.1))
         assert session.survivors == ()

@@ -79,6 +79,21 @@ class TestGraphLayer:
         with pytest.raises(GraphError):
             DiGraph.from_edges(2, [(0, 1)], weights=[-1.0])
 
+    def test_subnormal_weight_rejected(self):
+        # Alone on a node, 5e-324 overflows the tree's mass / W transition.
+        with pytest.raises(GraphError):
+            DiGraph.from_edges(2, [(0, 1)], weights=[5e-324])
+        tiny = np.finfo(float).tiny
+        graph = DiGraph.from_edges(2, [(0, 1)], weights=[tiny])
+        assert graph.in_weight_totals()[1] == tiny
+
+    def test_overflowing_in_weight_total_rejected(self):
+        # Two 1e308 in-arcs overflow W(2) to inf, which would empty the level.
+        with pytest.raises(GraphError):
+            DiGraph.from_edges(3, [(0, 2), (1, 2)], weights=[1e308, 1e308])
+        graph = DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[1e308, 1e308])
+        assert np.isfinite(graph.in_weight_totals()).all()
+
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(GraphError):
             DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0])

@@ -18,11 +18,7 @@ import pytest
 import scipy.stats
 
 from repro.baselines.power_method import power_method_all_pairs
-from repro.core.crashsim import (
-    accumulate_crash_totals,
-    accumulate_crash_totals_reference,
-    crashsim,
-)
+from repro.core.crashsim import accumulate_crash_totals_reference, crashsim
 from repro.core.params import CrashSimParams
 from repro.core.revreach import revreach_levels
 from repro.errors import ParameterError
@@ -32,7 +28,7 @@ from repro.parallel.shared_graph import CsrGraphView
 from repro.rng import ensure_rng
 from repro.walks import _jit
 from repro.walks.engine import BatchWalkStepper
-from repro.walks.kernel import WalkCrashKernel, fused_accumulate_crash_totals
+from repro.walks.kernel import WalkCrashKernel
 
 C = 0.6
 L_MAX = 11
@@ -120,30 +116,6 @@ class TestBitIdentity:
         dense = run_kernel(weighted)
         sparse = run_kernel(weighted, dense_row_budget=0)
         assert np.array_equal(dense, sparse)
-
-    def test_convenience_wrapper_matches(self, unweighted):
-        tree = revreach_levels(unweighted, 0, L_MAX, C)
-        targets = walkable_targets(unweighted)
-        ref = run_reference(unweighted)
-        fused = fused_accumulate_crash_totals(
-            unweighted,
-            tree,
-            targets,
-            48,
-            c=C,
-            l_max=L_MAX,
-            rng=ensure_rng(42),
-        )
-        assert np.array_equal(ref, fused)
-
-    def test_accumulate_crash_totals_routes_through_kernel(self, unweighted):
-        tree = revreach_levels(unweighted, 0, L_MAX, C)
-        targets = walkable_targets(unweighted)
-        ref = run_reference(unweighted)
-        out = accumulate_crash_totals(
-            unweighted, tree, targets, 48, c=C, l_max=L_MAX, rng=ensure_rng(42)
-        )
-        assert np.array_equal(ref, out)
 
     def test_kernel_buffer_reuse_across_calls(self, unweighted):
         # A second accumulate on the same kernel (warm buffers) must match
