@@ -39,18 +39,17 @@ replayable seed per batching window gets the shared-stream path for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.crashsim import CrashSimResult, resolve_candidates
+from repro.core.crashsim import CrashSimResult
 from repro.core.params import CrashSimParams
-from repro.core.revreach import revreach_levels
-from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike
 from repro.walks.kernel import WalkCrashKernel
 
 __all__ = ["BatchQuery", "crashsim_batch", "coalesce_seed_key"]
@@ -103,35 +102,6 @@ def coalesce_seed_key(seed: RngLike) -> Optional[Tuple]:
     return None
 
 
-@dataclass
-class _Prepared:
-    """A query with its layout resolved: candidates, targets, tree."""
-
-    query: BatchQuery
-    source: int
-    candidate_array: np.ndarray
-    walk_targets: np.ndarray
-    tree: object
-    totals: Optional[np.ndarray] = None
-    group: Optional[Tuple] = field(default=None, compare=False)
-
-
-def _validate_tree(tree, source: int, l_max: int, c: float, variant: str):
-    import math
-
-    if (
-        getattr(tree, "source", source) != source
-        or getattr(tree, "l_max", l_max) != l_max
-        or getattr(tree, "variant", variant) != variant
-        or not math.isclose(getattr(tree, "c", c), c)
-    ):
-        raise ParameterError(
-            "tree_provider returned a tree that does not match the query's "
-            "source/c/l_max/variant"
-        )
-    return tree
-
-
 def crashsim_batch(
     graph: DiGraph,
     queries: Sequence[BatchQuery],
@@ -153,14 +123,13 @@ def crashsim_batch(
         separate batches *before* calling this).
     kernel:
         A warm :class:`~repro.walks.kernel.WalkCrashKernel` to reuse across
-        batches (its ``sampler`` takes precedence, as in
-        :func:`~repro.core.crashsim.accumulate_crash_totals`); built fresh
-        when omitted.
+        batches (its ``sampler`` takes precedence); built fresh when
+        omitted.
     tree_provider:
-        ``source -> tree`` callable (a server's LRU cache); defaults to
-        building each tree with :func:`revreach_levels`.  Returned trees
-        are validated against the query's ``source``/``c``/``l_max``/
-        ``variant``.
+        ``source -> tree`` callable (a server's LRU cache); without one
+        each query builds its tree with :func:`revreach_levels`.  Returned
+        trees are validated against the query's ``source``/``c``/
+        ``l_max``/``variant``.
     stats:
         Optional dict; when given, ``coalesced_queries``,
         ``shared_walk_groups``, and ``solo_queries`` counters are
@@ -172,99 +141,55 @@ def crashsim_batch(
         One per query, in input order, each byte-identical to the
         corresponding sequential ``crashsim`` call.
     """
+    from repro.parallel.runner import _epilogue, _prologue, _run_trials
+
     params = params or CrashSimParams()
     if kernel is None:
         kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
-    l_max = params.l_max
-    n_r = params.n_r(max(graph.num_nodes, 2))
-    if tree_provider is None:
-        built: Dict[int, object] = {}
-
-        def tree_provider(source: int):
-            tree = built.get(source)
-            if tree is None:
-                tree = revreach_levels(
-                    graph, source, l_max, params.c, variant=tree_variant
-                )
-                built[source] = tree
-            return tree
-
-    in_degrees = graph.in_degrees()
-    prepared: List[_Prepared] = []
-    groups: Dict[Tuple, List[_Prepared]] = {}
-    for position, query in enumerate(queries):
-        source = int(query.source)
-        if not 0 <= source < graph.num_nodes:
-            raise ParameterError(
-                f"source {source} outside the graph's node range "
-                f"[0, {graph.num_nodes})"
-            )
-        candidate_array = resolve_candidates(graph, source, query.candidates)
-        walk_targets = candidate_array[candidate_array != source]
-        walk_targets = walk_targets[in_degrees[walk_targets] > 0]
-        tree = _validate_tree(
-            tree_provider(source), source, l_max, params.c, tree_variant
-        )
-        item = _Prepared(query, source, candidate_array, walk_targets, tree)
+    prologue = partial(
+        _prologue, graph, params=params, tree_variant=tree_variant,
+        tree_provider=tree_provider,
+    )
+    trials = partial(
+        _run_trials, graph, params=params, sampler=sampler, one_stream=True,
+        kernel=kernel,
+    )
+    # Every query is checked (and its tree fetched) before any walk runs.
+    prepared = [prologue(q.source, candidates=q.candidates) for q in queries]
+    groups: Dict[Tuple, List[int]] = {}
+    for index, (query, item) in enumerate(zip(queries, prepared)):
         seed_key = coalesce_seed_key(query.seed)
-        if seed_key is not None and walk_targets.size:
-            item.group = (seed_key, walk_targets.tobytes())
-            groups.setdefault(item.group, []).append(item)
-        prepared.append(item)
+        if seed_key is not None and item.targets.size:
+            groups.setdefault((seed_key, item.targets.tobytes()), []).append(index)
 
-    shared_groups = 0
-    coalesced = 0
-    for group in groups.values():
-        if len(group) < 2:
+    counts = dict.fromkeys(("shared_walk_groups", "coalesced_queries", "solo_queries"), 0)
+    estimates = {}
+    for members in groups.values():
+        if len(members) < 2:
             continue
-        # Shared walk stream: one accumulate_multi over the group's trees.
+        # Shared walk stream: one multi-tree run over the group's trees.
         # Every member consumes the same draws its solo run would, so each
-        # row is bit-equal to that member's individual accumulate().
-        rng = ensure_rng(group[0].query.seed)
-        with obs.span("batch_coalesce", queries=len(group)):
-            matrix = kernel.accumulate_multi(
-                [item.tree for item in group],
-                group[0].walk_targets,
-                n_r,
-                l_max=l_max,
-                rng=rng,
+        # row is bit-equal to that member's individual run.
+        with obs.span("batch_coalesce", queries=len(members)):
+            shared = trials(
+                [prepared[index].tree for index in members],
+                prepared[members[0]].targets,
+                multi=True,
+                seed=queries[members[0]].seed,
             )
-        for row, item in enumerate(group):
-            item.totals = matrix[row]
-        shared_groups += 1
-        coalesced += len(group)
-
-    solo = 0
-    for item in prepared:
-        if item.totals is None:
-            rng = ensure_rng(item.query.seed)
-            item.totals = kernel.accumulate(
-                item.tree, item.walk_targets, n_r, l_max=l_max, rng=rng
-            )
-            solo += 1
-
-    if stats is not None:
-        stats["shared_walk_groups"] = stats.get("shared_walk_groups", 0) + shared_groups
-        stats["coalesced_queries"] = stats.get("coalesced_queries", 0) + coalesced
-        stats["solo_queries"] = stats.get("solo_queries", 0) + solo
+        for row, index in enumerate(members):
+            estimates[index] = shared._replace(totals=shared.totals[row])
+        counts["shared_walk_groups"] += 1
+        counts["coalesced_queries"] += len(members)
 
     results: List[CrashSimResult] = []
-    for item in prepared:
-        # Exactly crashsim()'s assembly, op for op: the byte-identity
-        # contract depends on replicating its float-op order.
-        scores = np.zeros(item.candidate_array.size, dtype=np.float64)
-        walk_positions = np.searchsorted(item.candidate_array, item.walk_targets)
-        scores[walk_positions] = item.totals / n_r
-        scores[item.candidate_array == item.source] = 1.0
-        scores = np.clip(scores, 0.0, 1.0)
-        results.append(
-            CrashSimResult(
-                source=item.source,
-                candidates=item.candidate_array,
-                scores=scores,
-                n_r=n_r,
-                params=params,
-                tree=item.tree,
-            )
-        )
+    for index, (query, item) in enumerate(zip(queries, prepared)):
+        estimate = estimates.get(index)
+        if estimate is None:
+            estimate = trials(item.tree, item.targets, multi=False, seed=query.seed)
+            counts["solo_queries"] += 1
+        results.append(_epilogue(graph, item, estimate, params))
+    if stats is not None:
+        for key, value in counts.items():
+            stats[key] = stats.get(key, 0) + value
     return results

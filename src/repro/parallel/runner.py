@@ -5,9 +5,10 @@ query — serial or sharded, fixed ``n_r`` or adaptive — runs the same five
 steps, and each is written here once:
 
 1. **validate** — one prologue and epilogue per query shape
-   (:func:`drive_single`, :func:`drive_multi`): source and candidate
-   checks, the prebuilt-tree check, the walk-target filter, and score
-   assembly;
+   (:func:`_prologue` / :func:`_epilogue` for a single source, shared by
+   :func:`drive_single` and :func:`~repro.core.batch.crashsim_batch`;
+   :func:`drive_multi`): source and candidate checks, the prebuilt-tree
+   check, the walk-target filter, and score assembly;
 2. **plan** — a fixed shard plan (autotuned by :func:`plan_shards`, a pure
    function of the query shape, never of the worker count or the clock),
    each shard seeded by its own ``spawn`` child of the master
@@ -62,7 +63,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -664,24 +665,28 @@ def _run_trials(
     multi: bool,
     seed: RngLike,
     sampler: str,
-    adaptive: bool,
-    one_stream: bool,
-    first_meeting: str,
-    workers: Optional[int],
-    executor: Optional[ParallelExecutor],
-    shards: Optional[int],
-    deadline: Optional[float],
-    mode: str,
-    started: float,
-    log_context: dict,
+    adaptive: bool = False,
+    one_stream: bool = False,
+    first_meeting: str = "none",
+    workers: Optional[int] = None,
+    executor: Optional[ParallelExecutor] = None,
+    shards: Optional[int] = None,
+    deadline: Optional[float] = None,
+    mode: str = "auto",
+    started: float = 0.0,
+    log_context: Optional[dict] = None,
+    kernel: Optional[WalkCrashKernel] = None,
 ) -> _Estimate:
     """Plan, run, fold and settle one query's trials.
 
     ``tree`` is the source's tree, or the list of source trees when
     ``multi``.  ``one_stream`` runs a fixed-``n_r`` query as the classic
-    serial estimator — every trial on the caller's generator, no executor;
-    adaptive queries always shard.
+    serial estimator — every trial on the caller's generator, no executor,
+    on ``kernel`` when one is passed warm; adaptive queries always shard.
+    ``started`` and ``log_context`` are read only by sharded runs.
     """
+    if deadline is not None and deadline <= 0:
+        raise ParameterError(f"deadline must be positive, got {deadline}")
     num_nodes = max(graph.num_nodes, 2)
     n_r = params.n_r(num_nodes)
     job = _Job(params.c, params.l_max, sampler, multi)
@@ -692,7 +697,8 @@ def _run_trials(
         if first_meeting == "dp":
             totals = _accumulate_crashes_dp(graph, tree, targets, n_r, params, rng)
         else:
-            kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
+            if kernel is None:
+                kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
             totals = _accumulate(kernel, job, tree, targets, n_r, rng)
         return _Estimate(totals, n_r)
     if executor is None:
@@ -739,6 +745,83 @@ def _run_trials(
     )
 
 
+def _check_source(graph, source) -> int:
+    if not 0 <= int(source) < graph.num_nodes:
+        raise ParameterError(
+            f"source {source} outside the graph's node range [0, {graph.num_nodes})"
+        )
+    return int(source)
+
+
+class _Query(NamedTuple):
+    """A checked single-source query: what the trials and epilogue need."""
+
+    source: int
+    candidates: np.ndarray
+    targets: np.ndarray
+    tree: object
+
+
+def _prologue(
+    graph,
+    source: int,
+    *,
+    candidates: Optional[Iterable[int]],
+    params: CrashSimParams,
+    tree_variant: str,
+    tree_provider: Optional[Callable[[int], object]] = None,
+) -> _Query:
+    """Check the source, resolve candidates, get the tree, filter targets.
+
+    ``tree_provider`` is asked only for an in-range source, and its tree
+    must match the query; without one the tree is built.
+    """
+    source = _check_source(graph, source)
+    candidate_array = resolve_candidates(graph, source, candidates)
+    if tree_provider is None:
+        tree = revreach_levels(
+            graph, source, params.l_max, params.c, variant=tree_variant
+        )
+    else:
+        tree = tree_provider(source)
+        if (
+            tree.source != source
+            or tree.l_max != params.l_max
+            or tree.variant != tree_variant
+            or not math.isclose(tree.c, params.c)
+        ):
+            raise ParameterError(
+                "provided tree does not match the query's source/c/l_max/variant"
+            )
+    walk_targets = candidate_array[candidate_array != source]
+    # A candidate with no in-neighbours cannot take a single walk step, so
+    # its estimator is exactly 0 — drop it before paying n_r walks for it.
+    walk_targets = walk_targets[graph.in_degrees()[walk_targets] > 0]
+    return _Query(source, candidate_array, walk_targets, tree)
+
+
+def _epilogue(
+    graph, query: _Query, estimate: _Estimate, params: CrashSimParams
+) -> CrashSimResult:
+    """Assemble one query's scores from its trial totals."""
+    scores = np.zeros(query.candidates.size, dtype=np.float64)
+    walk_positions = np.searchsorted(query.candidates, query.targets)
+    scores[walk_positions] = estimate.totals / max(estimate.trials, 1)
+    scores[query.candidates == query.source] = 1.0
+    return CrashSimResult(
+        source=query.source,
+        candidates=query.candidates,
+        scores=np.clip(scores, 0.0, 1.0),
+        n_r=params.n_r(max(graph.num_nodes, 2)),
+        params=params,
+        tree=query.tree,
+        trials_completed=estimate.trials,
+        degraded=estimate.degraded,
+        achieved_epsilon=estimate.achieved_epsilon,
+        stopped_early=estimate.stopped_early,
+    )
+
+
 def drive_single(
     graph: DiGraph,
     source: int,
@@ -749,7 +832,7 @@ def drive_single(
     tree_variant: str,
     seed: RngLike,
     sampler: str,
-    adaptive: bool,
+    adaptive: bool = False,
     one_stream: bool = False,
     first_meeting: str = "none",
     workers: Optional[int] = None,
@@ -757,44 +840,28 @@ def drive_single(
     shards: Optional[int] = None,
     deadline: Optional[float] = None,
     mode: str = "auto",
+    kernel: Optional[WalkCrashKernel] = None,
 ) -> CrashSimResult:
     """One single-source query: prologue, trials, epilogue.
 
     The body of :func:`~repro.core.crashsim.crashsim` (``workers=1``,
-    ``one_stream=True``) and of :func:`parallel_crashsim`.
+    ``one_stream=True``), of :func:`parallel_crashsim` and of the serving
+    engine's solo answers; ``kernel`` is reused by one-stream runs only.
     """
     params = params or CrashSimParams()
     started = time.monotonic()
-    if not 0 <= int(source) < graph.num_nodes:
-        raise ParameterError(
-            f"source {source} outside the graph's node range [0, {graph.num_nodes})"
-        )
-    if deadline is not None and deadline <= 0:
-        raise ParameterError(f"deadline must be positive, got {deadline}")
-    source = int(source)
-    candidate_array = resolve_candidates(graph, source, candidates)
-    if tree is None:
-        tree = revreach_levels(
-            graph, source, params.l_max, params.c, variant=tree_variant
-        )
-    elif (
-        tree.source != source
-        or tree.l_max != params.l_max
-        or tree.variant != tree_variant
-        or not math.isclose(tree.c, params.c)
-    ):
-        raise ParameterError(
-            "provided tree does not match the query's source/c/l_max/variant"
-        )
-    walk_targets = candidate_array[candidate_array != source]
-    # A candidate with no in-neighbours cannot take a single walk step, so
-    # its estimator is exactly 0 — drop it before paying n_r walks for it.
-    walk_targets = walk_targets[graph.in_degrees()[walk_targets] > 0]
-
+    query = _prologue(
+        graph,
+        source,
+        candidates=candidates,
+        params=params,
+        tree_variant=tree_variant,
+        tree_provider=None if tree is None else lambda _: tree,
+    )
     estimate = _run_trials(
         graph,
-        tree,
-        walk_targets,
+        query.tree,
+        query.targets,
         params,
         multi=False,
         seed=seed,
@@ -808,24 +875,10 @@ def drive_single(
         deadline=deadline,
         mode=mode,
         started=started,
-        log_context={"source": source, "seed": seed},
+        log_context={"source": query.source, "seed": seed},
+        kernel=kernel,
     )
-    scores = np.zeros(candidate_array.size, dtype=np.float64)
-    walk_positions = np.searchsorted(candidate_array, walk_targets)
-    scores[walk_positions] = estimate.totals / max(estimate.trials, 1)
-    scores[candidate_array == source] = 1.0
-    return CrashSimResult(
-        source=source,
-        candidates=candidate_array,
-        scores=np.clip(scores, 0.0, 1.0),
-        n_r=params.n_r(max(graph.num_nodes, 2)),
-        params=params,
-        tree=tree,
-        trials_completed=estimate.trials,
-        degraded=estimate.degraded,
-        achieved_epsilon=estimate.achieved_epsilon,
-        stopped_early=estimate.stopped_early,
-    )
+    return _epilogue(graph, query, estimate, params)
 
 
 def drive_multi(
@@ -853,16 +906,9 @@ def drive_multi(
     """
     params = params or CrashSimParams()
     started = time.monotonic()
-    source_list = [int(s) for s in sources]
+    source_list = [_check_source(graph, source) for source in sources]
     if not source_list:
         return []
-    for source in source_list:
-        if not 0 <= source < graph.num_nodes:
-            raise ParameterError(
-                f"source {source} outside the node range [0, {graph.num_nodes})"
-            )
-    if deadline is not None and deadline <= 0:
-        raise ParameterError(f"deadline must be positive, got {deadline}")
     # No node is -1, so ``None`` keeps every node; each result drops its
     # own source below.
     candidate_array = resolve_candidates(graph, -1, candidates)
@@ -883,7 +929,6 @@ def drive_multi(
         sampler=sampler,
         adaptive=adaptive,
         one_stream=one_stream,
-        first_meeting="none",
         workers=workers,
         executor=executor,
         shards=shards,
@@ -892,27 +937,15 @@ def drive_multi(
         started=started,
         log_context={"sources": source_list, "seed": seed},
     )
-    n_r = params.n_r(max(graph.num_nodes, 2))
-    walk_positions = np.searchsorted(candidate_array, walk_targets)
+    # Each source's answer drops the source itself from the shared layout.
     results: List[CrashSimResult] = []
     for row, (source, tree) in enumerate(zip(source_list, trees)):
-        scores = np.zeros(candidate_array.size, dtype=np.float64)
-        scores[walk_positions] = estimate.totals[row] / max(estimate.trials, 1)
-        keep = candidate_array != source
-        results.append(
-            CrashSimResult(
-                source=source,
-                candidates=candidate_array[keep],
-                scores=np.clip(scores[keep], 0.0, 1.0),
-                n_r=n_r,
-                params=params,
-                tree=tree,
-                trials_completed=estimate.trials,
-                degraded=estimate.degraded,
-                achieved_epsilon=estimate.achieved_epsilon,
-                stopped_early=estimate.stopped_early,
-            )
+        keep = walk_targets != source
+        query = _Query(
+            source, candidate_array[candidate_array != source], walk_targets[keep], tree
         )
+        row_estimate = estimate._replace(totals=estimate.totals[row][keep])
+        results.append(_epilogue(graph, query, row_estimate, params))
     return results
 
 

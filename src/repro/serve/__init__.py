@@ -1,16 +1,14 @@
 """Long-lived query serving: a resident engine over one graph.
 
 Every standalone query pays the full setup bill — tree build, kernel
-buffers, process-pool start-up — which is why workers=4 *loses* to serial
-in ``BENCH_parallel.json`` and the multi-source walk-sharing win is
-unreachable for independent callers.  This package keeps all of that state
-resident:
+buffers, process-pool start-up — and independent callers cannot share
+walks.  This package keeps all of that state resident:
 
 * :class:`~repro.serve.engine.Engine` — holds the graph, warm per-sampler
   kernels, an LRU of source reverse trees, and one persistent
   :class:`~repro.parallel.ParallelExecutor`; admits concurrent requests,
-  coalesces compatible ones inside a small batching window, and scores each
-  batch through the kernel's shared-walk path.
+  coalesces compatible ones inside a small batching window, and scores
+  every request through the one CrashSim query driver.
 * :func:`~repro.serve.http.create_server` — a threaded HTTP front door
   (``POST /v1/query``, ``GET /healthz``, ``GET /stats``) behind the
   ``repro serve`` CLI command.

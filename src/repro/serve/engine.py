@@ -18,15 +18,18 @@ dispatcher keeps collecting for ``batch_window`` seconds (or until
 
 * requests with a ``deadline`` are served first and individually — their
   remaining budget (measured from *arrival*, so queue wait counts) flows
-  into :func:`~repro.parallel.parallel_crashsim` on the persistent
-  executor, so an overloaded engine degrades those answers (fewer trials,
-  honest wider ``achieved_epsilon``) instead of failing them; a request
-  whose deadline already elapsed in the queue is failed *before* any
-  kernel time is spent on it;
+  into the query driver on the persistent executor, so an overloaded
+  engine degrades those answers (fewer trials, honest wider
+  ``achieved_epsilon``) instead of failing them; a request whose
+  deadline already elapsed in the queue is failed *before* any kernel
+  time is spent on it;
 * the rest are partitioned by ``sampler`` and scored through
   :func:`~repro.core.batch.crashsim_batch`, which coalesces same-seed /
-  same-candidate-set requests into one shared walk stream
-  (``accumulate_multi``) and serves the remainder solo on warm state.
+  same-candidate-set requests into one shared walk stream and serves the
+  remainder solo on warm state.
+
+Both call the one query driver (:mod:`repro.parallel.runner`); every
+answer served alone goes through :meth:`Engine._serve_solo`.
 
 Seedless requests are assigned engine-drawn integer seeds; seedless
 requests in the same batch that share an explicit candidate set are given
@@ -87,7 +90,6 @@ import numpy as np
 from repro import faults, obs
 from repro.api import ScoreVector
 from repro.core.batch import BatchQuery, crashsim_batch
-from repro.core.crashsim import crashsim
 from repro.core.params import CrashSimParams
 from repro.core.revreach import revreach_levels
 from repro.errors import (
@@ -274,8 +276,9 @@ class EngineConfig:
         Circuit breaker for the deadline path: trip after this many
         consecutive deadline-exceeded/degraded outcomes, stay open this
         many seconds before a half-open probe, and serve open-state
-        queries with this many Monte-Carlo trials.  ``breaker_threshold=0``
-        (default) disables the breaker.
+        queries with this many Monte-Carlo trials — fewer than ``n_r``
+        when that is set.  ``breaker_threshold=0`` (default) disables the
+        breaker.
     ``watchdog_interval`` / ``dispatcher_stall_timeout``
         How often the watchdog thread checks the dispatcher (0 disables
         the watchdog), and how long a busy dispatcher may go without a
@@ -290,12 +293,11 @@ class EngineConfig:
     ``adaptive``
         Serve every query with empirical-Bernstein early stopping
         (:mod:`repro.core.adaptive`): trials run in geometrically growing
-        rounds and stop as soon as the estimated error is within ε.
-        Deadline queries pass ``adaptive=True`` into
-        :func:`~repro.parallel.parallel_crashsim`; deadline-less queries
-        are served individually through the adaptive serial path instead
-        of ``crashsim_batch`` (adaptive rounds cannot share a coalesced
-        walk stream across different sources' stopping decisions).
+        rounds and stop as soon as the estimated error is within ε.  Every
+        query is served alone through the query driver instead of
+        ``crashsim_batch`` (adaptive rounds cannot share a coalesced walk
+        stream across different sources' stopping decisions): deadline
+        queries sharded on the executor, the rest on ``workers=1``.
         Answers carry ``ScoreVector.stopped_early`` plus the honest
         ``trials_completed`` / ``achieved_epsilon``.
     """
@@ -351,6 +353,12 @@ class EngineConfig:
         if self.breaker_n_r < 1:
             raise ParameterError(
                 f"breaker_n_r must be positive, got {self.breaker_n_r}"
+            )
+        if self.breaker_threshold and self.n_r and self.breaker_n_r >= self.n_r:
+            raise ParameterError(
+                f"breaker_n_r ({self.breaker_n_r}) must be below n_r "
+                f"({self.n_r}): the breaker's cheap mode would cost more than "
+                "a full answer"
             )
         if self.watchdog_interval < 0:
             raise ParameterError(
@@ -622,6 +630,14 @@ class Engine:
         if not 0 <= request.source < self.graph.num_nodes:
             raise ParameterError(
                 f"source {request.source} outside the graph's node range "
+                f"[0, {self.graph.num_nodes})"
+            )
+        # Checked here, not at scoring time, so one bad candidate set cannot
+        # fail the batch it would have joined.
+        candidates = request.candidates or (0,)
+        if not 0 <= min(candidates) <= max(candidates) < self.graph.num_nodes:
+            raise ParameterError(
+                "candidate node outside the graph's node range "
                 f"[0, {self.graph.num_nodes})"
             )
         with self._lock:
@@ -905,12 +921,10 @@ class Engine:
         for sampler, group in by_sampler.items():
             if self.config.adaptive:
                 # Adaptive rounds stop per-query; a coalesced walk stream
-                # would force every batch-mate to the slowest stopper, so
-                # each request gets its own adaptive serial run on the
-                # warm tree cache instead.
+                # would hold every batch-mate to the slowest stopper.
                 self._assign_seeds(group)
                 for pending in group:
-                    self._serve_adaptive(sampler, pending, len(group))
+                    self._serve_solo(pending, batch_size=len(group))
             else:
                 self._serve_coalesced(sampler, group)
         # Feed the measured per-request service time into the EWMA that
@@ -991,47 +1005,7 @@ class Engine:
                 trace=trace,
             )
 
-    def _serve_adaptive(
-        self, sampler: str, pending: _Pending, batch_size: int
-    ) -> None:
-        """Serve one deadline-less request with adaptive early stopping.
-
-        Byte-identical to ``single_source(..., adaptive=True)`` with the
-        same seed: the warm LRU tree feeds the same serial adaptive driver
-        the direct call uses.  ``batch_size`` is the dispatch group's size
-        (diagnostics only — adaptive requests never coalesce).
-        """
-        request = pending.request
-        trace = obs.Trace(
-            "query", {"source": request.source, "adaptive": True}
-        )
-        try:
-            with trace.activate():
-                tree = self.trees.get(request.source)
-                result = crashsim(
-                    self.graph,
-                    request.source,
-                    candidates=request.candidates,
-                    params=self.params,
-                    tree=tree,
-                    seed=pending.seed,
-                    sampler=sampler,
-                    adaptive=True,
-                )
-        except Exception:
-            _fail_future(pending.future, _current_exception())
-            return
-        self._finish(
-            pending,
-            result,
-            batch_size=batch_size,
-            coalesced=False,
-            trace=trace,
-        )
-
     def _serve_deadline(self, pending: _Pending) -> None:
-        from repro.parallel import parallel_crashsim
-
         request = pending.request
         self._assign_seeds([pending])
         self._bump("deadline_queries")
@@ -1054,14 +1028,53 @@ class Engine:
         route = self._breaker.before_query()
         if route is BreakerState.HALF_OPEN:
             self._bump("breaker_probes")
+        elif route is BreakerState.OPEN:
+            self._bump("breaker_degraded")
         self._sync_breaker_gauge()
-        if route is BreakerState.OPEN:
-            self._serve_breaker_degraded(pending)
-            return
-        trace = obs.Trace(
-            "query", {"source": request.source, "deadline": request.deadline}
-        )
+        self._serve_solo(pending, deadline=remaining, route=route)
+
+    def _serve_solo(
+        self,
+        pending: _Pending,
+        *,
+        batch_size: int = 1,
+        deadline: Optional[float] = None,
+        route: BreakerState = BreakerState.CLOSED,
+    ) -> None:
+        """One request through the query driver, on its warm LRU tree.
+
+        A ``deadline`` (the budget left since arrival) runs on the
+        persistent executor and feeds the breaker; ``route=OPEN`` is the
+        breaker's cheap mode — ``breaker_n_r`` one-stream trials on the warm
+        kernel, forced ``degraded``; no deadline (adaptive engines) is the
+        serial adaptive run ``single_source(..., adaptive=True)`` makes.
+        """
+        from repro.parallel.runner import drive_single
+
+        request = pending.request
+        cheap = route is BreakerState.OPEN
+        feeds_breaker = deadline is not None and not cheap
+        if deadline is None:
+            info = {"source": request.source, "adaptive": True}
+        else:
+            info = {"source": request.source, "deadline": request.deadline}
+            if cheap:
+                info["breaker"] = "open"
+        trace = obs.Trace("query", info)
         try:
+            if cheap:
+                kernel = self._kernel(request.sampler)
+                run = dict(params=self._breaker_params, one_stream=True, kernel=kernel)
+            elif deadline is None:
+                run = dict(params=self.params, adaptive=True, workers=1)
+            else:
+                run = dict(
+                    params=self.params,
+                    adaptive=self.config.adaptive,
+                    workers=self.config.workers,
+                    executor=self._ensure_executor(),
+                    deadline=deadline,
+                )
             with trace.activate():
                 tree = self.trees.get(request.source)
                 with warnings.catch_warnings():
@@ -1069,84 +1082,34 @@ class Engine:
                     # ScoreVector metadata; the warning would only spam the
                     # server log once per overloaded request.
                     warnings.simplefilter("ignore", DegradedResultWarning)
-                    result = parallel_crashsim(
+                    result = drive_single(
                         self.graph,
                         request.source,
                         candidates=request.candidates,
-                        params=self.params,
-                        seed=pending.seed,
-                        workers=self.config.workers,
-                        executor=self._ensure_executor(),
-                        deadline=remaining,
-                        sampler=request.sampler,
                         tree=tree,
-                        adaptive=self.config.adaptive,
+                        tree_variant=self.config.tree_variant,
+                        seed=pending.seed,
+                        sampler=request.sampler,
+                        **run,
                     )
         except Exception:
             exc = _current_exception()
-            # Only overload-shaped outcomes count against the breaker; a
-            # malformed request is no reason to stop trusting the executor.
-            self._record_breaker(ok=not isinstance(exc, DeadlineExceededError))
+            if feeds_breaker:
+                # Only overload-shaped outcomes count against the breaker; a
+                # malformed request is no reason to stop trusting the executor.
+                self._record_breaker(ok=not isinstance(exc, DeadlineExceededError))
             _fail_future(pending.future, exc)
             return
-        self._record_breaker(ok=not result.degraded)
+        if feeds_breaker:
+            self._record_breaker(ok=not result.degraded)
         self._finish(
             pending,
             result,
-            batch_size=1,
+            batch_size=batch_size,
             coalesced=False,
             trace=trace,
             breaker_state=route.value,
-        )
-
-    def _serve_breaker_degraded(self, pending: _Pending) -> None:
-        """Answer a deadline query from the breaker's cheap low-n_r mode.
-
-        Runs ``breaker_n_r`` trials through the warm batch path (shared
-        trees and kernels, no executor round-trip) and labels the answer
-        honestly: ``degraded=True`` with ``achieved_epsilon`` computed from
-        the *engine's* real parameters at the reduced trial count, and
-        ``QueryResult.breaker_state="open"``.  These answers never feed
-        back into the breaker — only full-size outcomes move its state.
-        """
-        request = pending.request
-        self._bump("breaker_degraded")
-        trace = obs.Trace(
-            "query",
-            {
-                "source": request.source,
-                "deadline": request.deadline,
-                "breaker": "open",
-            },
-        )
-        try:
-            with trace.activate():
-                results = crashsim_batch(
-                    self.graph,
-                    [
-                        BatchQuery(
-                            request.source,
-                            seed=pending.seed,
-                            candidates=request.candidates,
-                        )
-                    ],
-                    params=self._breaker_params,
-                    tree_variant=self.config.tree_variant,
-                    sampler=request.sampler,
-                    kernel=self._kernel(request.sampler),
-                    tree_provider=self.trees,
-                )
-        except Exception:
-            _fail_future(pending.future, _current_exception())
-            return
-        self._finish(
-            pending,
-            results[0],
-            batch_size=1,
-            coalesced=False,
-            trace=trace,
-            breaker_state=BreakerState.OPEN.value,
-            force_degraded=True,
+            force_degraded=cheap,
         )
 
     # ------------------------------------------------------------------ watchdog

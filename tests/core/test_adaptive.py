@@ -384,13 +384,17 @@ class TestAdaptiveMetrics:
 
 
 class TestEngineAdaptive:
-    def test_engine_matches_direct_call(self, graph):
+    # Deadline-less queries run the serial adaptive driver; a generous
+    # deadline runs it sharded on the engine's executor.  Both must equal
+    # the direct call bit for bit.
+    @pytest.mark.parametrize("deadline", [None, 60.0])
+    def test_engine_matches_direct_call(self, graph, deadline):
         from repro.serve import Engine, EngineConfig
 
-        config = EngineConfig(epsilon=EPS, seed=11, adaptive=True)
+        config = EngineConfig(epsilon=EPS, seed=11, adaptive=True, workers=2)
         engine = Engine(graph, config)
         try:
-            answer = engine.query(3, seed=42)
+            answer = engine.query(3, seed=42, deadline=deadline)
         finally:
             engine.close()
         direct = single_source(graph, 3, epsilon=EPS, seed=42, adaptive=True)

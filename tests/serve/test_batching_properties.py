@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.core import BatchQuery, CrashSimParams, crashsim, crashsim_batch
+from repro.core.revreach import revreach_levels
+from repro.errors import ParameterError
 from repro.graph.generators import preferential_attachment
 from repro.serve import Engine, EngineConfig, QueryRequest
 
@@ -152,6 +154,16 @@ class TestCrashsimBatchInvariance:
             GRAPH, 3, params=PARAMS, seed=np.random.default_rng(77)
         )
         assert results[0].scores.tobytes() == solo.scores.tobytes()
+
+    def test_provider_tree_for_another_source_is_rejected(self):
+        other = revreach_levels(GRAPH, 5, PARAMS.l_max, PARAMS.c)
+        with pytest.raises(ParameterError):
+            crashsim_batch(
+                GRAPH,
+                [BatchQuery(4, seed=1), BatchQuery(3, seed=1)],
+                params=PARAMS,
+                tree_provider=lambda source: other,
+            )
 
 
 class TestEngineInvariance:

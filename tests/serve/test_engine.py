@@ -78,12 +78,20 @@ class TestAnswers:
         with pytest.raises(ParameterError):
             engine.submit(QueryRequest.make(serve_graph.num_nodes + 5))
 
-    def test_bad_request_fails_only_itself(self, engine, serve_graph, catalog):
-        # An out-of-range candidate set passes submit but fails scoring;
-        # batch-mates must still be answered.
-        bad = engine.submit(
-            QueryRequest.make(1, candidates=(serve_graph.num_nodes + 7,), seed=3)
-        )
+    def test_bad_request_fails_only_itself(
+        self, engine, serve_graph, catalog, monkeypatch
+    ):
+        # A request that passes submit but fails scoring (here its tree
+        # fetch raises) must not fail its batch-mates.
+        fetch = engine.trees.get
+
+        def failing_fetch(source):
+            if source == 1:
+                raise ParameterError("injected tree failure")
+            return fetch(source)
+
+        monkeypatch.setattr(engine.trees, "get", failing_fetch)
+        bad = engine.submit(QueryRequest.make(1, candidates=catalog, seed=3))
         good = engine.submit(QueryRequest.make(2, candidates=catalog, seed=3))
         with pytest.raises(ParameterError):
             bad.result(timeout=30)
@@ -92,6 +100,35 @@ class TestAnswers:
             serve_graph, 2, n_r=32, seed=3, candidates=catalog
         )
         assert result.scores.tobytes() == direct.tobytes()
+
+    def test_bad_candidate_rejected_at_submit_batch_mates_coalesce(
+        self, serve_graph, catalog
+    ):
+        # A wide window holds all four submissions in one batch; the bad
+        # one is refused at the door, so the other three still share walks.
+        config = EngineConfig(n_r=32, batch_window=0.5, seed=1234)
+        with Engine(serve_graph, config) as engine:
+            futures = [
+                engine.submit(QueryRequest.make(s, candidates=catalog, seed=3))
+                for s in (1, 2)
+            ]
+            bad = catalog + (serve_graph.num_nodes + 5,)
+            with pytest.raises(ParameterError):
+                engine.submit(QueryRequest.make(4, candidates=bad, seed=3))
+            futures.append(
+                engine.submit(QueryRequest.make(3, candidates=catalog, seed=3))
+            )
+            results = [future.result(timeout=30) for future in futures]
+            stats = engine.stats()
+        assert [(r.coalesced, r.batch_size) for r in results] == [(True, 3)] * 3
+        assert stats["shared_walk_groups"] == 1
+        assert stats["coalesced_queries"] == 3
+        assert stats["solo_queries"] == 0
+        for source, result in zip((1, 2, 3), results):
+            direct = api.single_source(
+                serve_graph, source, n_r=32, seed=3, candidates=catalog
+            )
+            assert result.scores.tobytes() == direct.tobytes()
 
 
 class TestRequestValidation:

@@ -236,6 +236,8 @@ MALFORMED_CASES = [
     ("candidates-mixed", _query(candidates=[151, "152"]), {}),
     ("candidate-negative", _query(candidates=[-1]), {}),
     ("candidate-out-of-range", _query(candidates=[10**6]), {}),
+    # The serve graph has 300 nodes: id 300 is the first one past the end.
+    ("candidate-one-past-range", _query(candidates=[151, 300]), {}),
     ("top-k-zero", _query(top_k=0), {}),
     ("top-k-string", _query(top_k="5"), {}),
     ("sampler-unknown", _query(sampler="bogus"), {}),

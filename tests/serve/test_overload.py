@@ -197,6 +197,13 @@ class TestAdmissionControl:
             EngineConfig(retry_budget=0)
         with pytest.raises(ParameterError):
             EngineConfig(retry_backoff=-0.1)
+        # The breaker's cheap mode must run fewer trials than a full answer.
+        with pytest.raises(ParameterError):
+            EngineConfig(n_r=4, breaker_threshold=1)  # default breaker_n_r=8
+        with pytest.raises(ParameterError):
+            EngineConfig(n_r=8, breaker_threshold=1, breaker_n_r=8)
+        EngineConfig(n_r=9, breaker_threshold=1, breaker_n_r=8)
+        EngineConfig(n_r=4, breaker_n_r=8)  # breaker off: never used
 
     def test_reject_policy_full_queue(self, serve_graph):
         oracles = {
