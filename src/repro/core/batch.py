@@ -48,6 +48,7 @@ import numpy as np
 from repro import obs
 from repro.core.crashsim import CrashSimResult
 from repro.core.params import CrashSimParams
+from repro.core.revreach import revreach_levels
 from repro.graph.digraph import DiGraph
 from repro.rng import RngLike
 from repro.walks.kernel import WalkCrashKernel
@@ -127,7 +128,8 @@ def crashsim_batch(
         omitted.
     tree_provider:
         ``source -> tree`` callable (a server's LRU cache); without one
-        each query builds its tree with :func:`revreach_levels`.  Returned
+        each distinct source builds its tree once with
+        :func:`revreach_levels`, shared by its queries.  Returned
         trees are validated against the query's ``source``/``c``/
         ``l_max``/``variant``.
     stats:
@@ -146,6 +148,17 @@ def crashsim_batch(
     params = params or CrashSimParams()
     if kernel is None:
         kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
+    if tree_provider is None:
+        # A source repeated within the batch builds its tree once.
+        built: Dict[int, object] = {}
+
+        def tree_provider(source: int):
+            if source not in built:
+                built[source] = revreach_levels(
+                    graph, source, params.l_max, params.c, variant=tree_variant
+                )
+            return built[source]
+
     prologue = partial(
         _prologue, graph, params=params, tree_variant=tree_variant,
         tree_provider=tree_provider,

@@ -33,7 +33,6 @@ from repro.core.pruning import (
 from repro.core.queries import TemporalQuery
 from repro.core.revreach import revreach_update
 from repro.errors import ParameterError, TemporalError
-from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 from repro.graph.temporal import EdgeDelta
 from repro.rng import RngLike, ensure_rng
@@ -115,37 +114,28 @@ class TemporalQuerySession:
         """Process the next snapshot given in full; returns the new Ω."""
         if self._graph is None:
             return self._start(graph)
-        old_edges = self._graph.edge_set()
-        new_edges = graph.edge_set()
-        delta = EdgeDelta.between(set(old_edges), set(new_edges))
+        if graph.num_nodes != self._graph.num_nodes:
+            raise TemporalError("snapshot streams share one node set")
+        delta = EdgeDelta(
+            added=graph.arcs_not_in(self._graph),
+            removed=self._graph.arcs_not_in(graph),
+        )
         return self._advance(graph, delta)
 
     def push_delta(
         self, added: Iterable[Edge] = (), removed: Iterable[Edge] = ()
     ) -> Tuple[int, ...]:
-        """Process the next snapshot expressed as a delta; returns Ω."""
+        """Process the next snapshot expressed as a delta; returns Ω.
+
+        :meth:`DiGraph.with_delta` splices the next snapshot, raising on a
+        bad delta before any session state changes.
+        """
         if self._graph is None:
             raise TemporalError("push an initial snapshot before any delta")
         added = [(int(s), int(t)) for s, t in added]
         removed = [(int(s), int(t)) for s, t in removed]
-        n = self._graph.num_nodes
-        for s, t in removed + added:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ParameterError(
-                    f"delta edge ({s}, {t}) has an endpoint outside [0, {n})"
-                )
-        builder = GraphBuilder.from_graph(self._graph)
-        # Deltas arrive as dense node ids; translate through the label
-        # space the builder interns (identity for unlabelled graphs).
-        labels = self._graph.node_labels or tuple(range(self._graph.num_nodes))
-        for s, t in removed:
-            builder.remove_edge(labels[s], labels[t])
-        for s, t in added:
-            builder.add_edge(labels[s], labels[t])
-        graph = builder.build()
-        delta = EdgeDelta(
-            added=frozenset(added), removed=frozenset(removed)
-        )
+        graph = self._graph.with_delta(added, removed)
+        delta = EdgeDelta(added=frozenset(added), removed=frozenset(removed))
         return self._advance(graph, delta)
 
     # ------------------------------------------------------------------
@@ -185,8 +175,6 @@ class TemporalQuerySession:
         state — including the RNG, whose bit-generator state is restored so
         a retried push reproduces the same trial bits.
         """
-        if graph.num_nodes != self._graph.num_nodes:
-            raise TemporalError("snapshot streams share one node set")
         rng_state = self._rng.bit_generator.state
         try:
             return self._advance_or_raise(graph, delta)

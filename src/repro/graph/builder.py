@@ -2,8 +2,11 @@
 
 :class:`GraphBuilder` accepts arbitrary hashable node labels, interns them to
 dense integer ids, supports edge insertion and removal, and produces a frozen
-:class:`DiGraph` via :meth:`GraphBuilder.build`.  Temporal snapshot synthesis
-uses it heavily: a builder can be primed ``from_graph`` and perturbed.
+:class:`DiGraph` via :meth:`GraphBuilder.build`.  A builder can be primed
+``from_graph`` and perturbed, but snapshot synthesis no longer goes through
+it: the next snapshot of a temporal stream is spliced from the current
+one's CSR arrays by :meth:`DiGraph.with_delta`, which matches this round
+trip bit for bit without its O(m) Python loop.
 """
 
 from __future__ import annotations

@@ -25,7 +25,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
+from repro.errors import (
+    EdgeNotFoundError,
+    GraphError,
+    NodeNotFoundError,
+    ParameterError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     import networkx
@@ -114,12 +119,70 @@ def _csr_from_pairs(
     return indptr, sorted_targets.astype(np.int32, copy=False), sorted_values
 
 
+def _pair_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """``edges`` as an int64 array of shape ``(k, 2)``."""
+    pairs = [(int(s), int(t)) for s, t in edges]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _csr_keys(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Key ``row * n + col`` of every CSR entry; ascending, as CSR is sorted.
+
+    Indices are int32, so ``n < 2**31`` and every key fits in an int64.
+    """
+    rows = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr))
+    return rows + indices
+
+
+def _transpose_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """Sorted keys of the reversed arcs (``s * n + t`` becomes ``t * n + s``)."""
+    rows, cols = np.divmod(keys, n)
+    return np.sort(cols * n + rows)
+
+
+def _contains(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Membership mask of ``queries`` in the ascending ``sorted_keys``."""
+    at = np.searchsorted(sorted_keys, queries)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == queries[found]
+    return found
+
+
+def _splice(
+    n: int,
+    keys: np.ndarray,
+    weights: Optional[np.ndarray],
+    remove: np.ndarray,
+    insert: np.ndarray,
+    reset: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(indptr, indices, weights) of a CSR after an arc-key splice.
+
+    ``keys`` are the CSR's ascending entry keys; ``remove`` (present keys)
+    are deleted, then the ascending new keys ``insert`` go in with weight
+    1.0, and surviving keys in ``reset`` get weight 1.0.  The arrays match
+    what :func:`_csr_from_pairs` builds from the resulting arc list.
+    """
+    drop = np.searchsorted(keys, remove)
+    keys = np.delete(keys, drop)
+    at = np.searchsorted(keys, insert)
+    keys = np.insert(keys, at, insert)
+    if weights is not None:
+        weights = np.insert(np.delete(weights, drop), at, 1.0)
+        weights[np.searchsorted(keys, reset)] = 1.0
+    rows = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, (keys - rows * n).astype(np.int32), weights
+
+
 class DiGraph:
     """A frozen directed graph over nodes ``0..n-1`` with CSR adjacency.
 
     Instances are normally produced by :class:`repro.graph.GraphBuilder`,
-    :meth:`DiGraph.from_edges`, or a dataset loader; the constructor below is
-    the low-level entry point taking pre-validated edge arrays.
+    :meth:`DiGraph.from_edges`, :meth:`DiGraph.with_delta` (the next
+    snapshot of an existing graph), or a dataset loader; the constructor
+    below is the low-level entry point taking pre-validated edge arrays.
 
     Parameters
     ----------
@@ -212,19 +275,38 @@ class DiGraph:
             if not np.isfinite(in_totals).all():
                 raise GraphError("a node's total in-arc weight overflows to inf")
 
+        self._assign(
+            num_nodes,
+            directed,
+            tuple(node_labels) if node_labels is not None else None,
+            _csr_from_pairs(num_nodes, sources, targets, weights),
+            _csr_from_pairs(num_nodes, targets, sources, weights),
+        )
+
+    def _assign(
+        self,
+        num_nodes: int,
+        directed: bool,
+        node_labels: Optional[tuple],
+        out_csr: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+        in_csr: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+    ) -> None:
+        """Set every slot from finished ``(indptr, indices, weights)`` CSRs.
+
+        The one place a graph's state is written: :meth:`__init__` reaches
+        it after sorting edge arrays, :meth:`with_delta` after splicing an
+        existing graph's arrays.
+        """
         self.num_nodes = int(num_nodes)
         self.directed = bool(directed)
-        self.node_labels = tuple(node_labels) if node_labels is not None else None
-        self._out_indptr, self._out_indices, self._out_weights = _csr_from_pairs(
-            num_nodes, sources, targets, weights
-        )
-        self._in_indptr, self._in_indices, self._in_weights = _csr_from_pairs(
-            num_nodes, targets, sources, weights
-        )
-        self._num_arcs = int(sources.size)
+        self.node_labels = node_labels
+        self._out_indptr, self._out_indices, self._out_weights = out_csr
+        self._in_indptr, self._in_indices, self._in_weights = in_csr
+        self._num_arcs = int(self._out_indices.size)
         self._edge_set: Optional[frozenset] = None
         self._in_degrees64: Optional[np.ndarray] = None
         self._alias_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._kernel_pools: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -306,6 +388,85 @@ class DiGraph:
         return cls.from_edges(
             len(nodes), edges, directed=directed, node_labels=nodes
         )
+
+    def with_delta(
+        self,
+        added: Iterable[Tuple[int, int]] = (),
+        removed: Iterable[Tuple[int, int]] = (),
+    ) -> "DiGraph":
+        """The next snapshot: this graph with ``removed``, then ``added``.
+
+        Both CSR directions (and the weights) are spliced by arc key
+        ``row * n + col``: a binary search over the already-sorted arrays,
+        one delete and one insert — O(m + Δ log m) array work and no sort
+        over ``m``.  The result is bit-identical to rebuilding the graph
+        through :class:`~repro.graph.GraphBuilder` with every removal
+        applied before any addition:
+
+        * an endpoint outside ``[0, n)`` raises :class:`ParameterError`;
+        * removing an absent arc (a self-loop, or one already removed
+          earlier in ``removed``) raises :class:`EdgeNotFoundError`;
+        * added self-loops and repeated additions are dropped; re-adding a
+          present arc is a no-op on unweighted graphs and sets its weight
+          to 1.0 on weighted ones;
+        * an undirected graph changes both arcs of each edge;
+        * ``node_labels`` carry over unchanged.
+
+        >>> graph = DiGraph.from_edges(3, [(0, 1), (1, 2)])
+        >>> sorted(graph.with_delta(added=[(2, 0)], removed=[(0, 1)]).edges())
+        [(1, 2), (2, 0)]
+        """
+        n = self.num_nodes
+        removed = _pair_array(removed)
+        added = _pair_array(added)
+        both = np.concatenate([removed, added])
+        outside = ((both < 0) | (both >= n)).any(axis=1)
+        if outside.any():
+            s, t = both[int(np.argmax(outside))]
+            raise ParameterError(
+                f"delta edge ({s}, {t}) has an endpoint outside [0, {n})"
+            )
+        old_keys = _csr_keys(n, self._out_indptr, self._out_indices)
+
+        # Removals, in order: each must name a present, not yet removed edge.
+        edge_keys = self._edge_keys(removed)
+        first = np.zeros(edge_keys.size, dtype=bool)
+        first[np.unique(edge_keys, return_index=True)[1]] = True
+        present = first & _contains(old_keys, edge_keys)
+        if not present.all():
+            s, t = removed[int(np.argmin(present))]
+            raise EdgeNotFoundError(int(s), int(t))
+        remove_keys = self._arc_keys_of(removed)
+
+        # Additions without self-loops or repeats, split into new arcs and
+        # re-adds of arcs that outlive the removals.
+        add_keys = self._arc_keys_of(added[added[:, 0] != added[:, 1]])
+        kept = _contains(old_keys, add_keys) & ~_contains(remove_keys, add_keys)
+        changes = (remove_keys, add_keys[~kept], add_keys[kept])
+
+        out_csr = _splice(n, old_keys, self._out_weights, *changes)
+        in_csr = _splice(
+            n,
+            _csr_keys(n, self._in_indptr, self._in_indices),
+            self._in_weights,
+            *(_transpose_keys(n, keys) for keys in changes),
+        )
+        graph = object.__new__(type(self))
+        graph._assign(n, self.directed, self.node_labels, out_csr, in_csr)
+        return graph
+
+    def _edge_keys(self, pairs: np.ndarray) -> np.ndarray:
+        """One key per edge: undirected pairs are keyed smaller id first."""
+        if not self.directed:
+            pairs = np.sort(pairs, axis=1)
+        return pairs[:, 0] * self.num_nodes + pairs[:, 1]
+
+    def _arc_keys_of(self, pairs: np.ndarray) -> np.ndarray:
+        """Sorted unique out-arc keys of ``pairs`` (both arcs if undirected)."""
+        keys = pairs[:, 0] * self.num_nodes + pairs[:, 1]
+        if not self.directed:
+            keys = np.concatenate([keys, pairs[:, 1] * self.num_nodes + pairs[:, 0]])
+        return np.unique(keys)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -495,12 +656,33 @@ class DiGraph:
     # ------------------------------------------------------------------
 
     def edge_set(self) -> frozenset:
-        """Frozen set of arcs; cached, used by snapshot diffing."""
+        """Frozen set of arcs as ``(source, target)`` tuples; cached.
+
+        O(m) Python tuples: snapshot diffing uses :meth:`arcs_not_in` instead.
+        """
         if self._edge_set is None:
             self._edge_set = frozenset(
                 zip(self.arc_sources().tolist(), self._out_indices.tolist())
             )
         return self._edge_set
+
+    def arcs_not_in(self, other: "DiGraph") -> frozenset:
+        """Arcs of this graph that ``other`` (same node set) lacks.
+
+        A sorted-key difference, O(m) array work plus O(|result|) tuples:
+        two snapshots diff as ``new.arcs_not_in(old)`` (added arcs) and
+        ``old.arcs_not_in(new)`` (removed arcs).
+        """
+        n = self.num_nodes
+        if other.num_nodes != n:
+            raise GraphError("arcs_not_in compares graphs over one node set")
+        keys = np.setdiff1d(
+            _csr_keys(n, self._out_indptr, self._out_indices),
+            _csr_keys(n, other._out_indptr, other._out_indices),
+            assume_unique=True,
+        )
+        sources, targets = np.divmod(keys, n)
+        return frozenset(zip(sources.tolist(), targets.tolist()))
 
     def arc_sources(self) -> np.ndarray:
         """Source node of every stored arc, aligned with ``out_indices``."""

@@ -5,7 +5,8 @@ snapshots; only edges appear and disappear.  Storing ``T`` full CSR graphs
 is wasteful when adjacent snapshots differ by a handful of edges (the regime
 in which the paper's pruning rules pay off), so :class:`TemporalGraph` keeps
 the first snapshot plus an :class:`EdgeDelta` per transition and materialises
-:class:`~repro.graph.DiGraph` snapshots lazily with a small LRU cache.
+:class:`~repro.graph.DiGraph` snapshots lazily, each spliced from an earlier
+one by :meth:`~repro.graph.DiGraph.with_delta`, with a small LRU cache.
 
 The delta between adjacent snapshots is exactly the ``Δ = G_{t+1} - G_t``
 set that delta pruning (paper Property 1) consumes.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SnapshotIndexError, TemporalError
@@ -154,33 +156,41 @@ class TemporalGraph:
             self._edge_cache.move_to_end(index)
             return cached
         # Walk forward from the nearest earlier cached state (or snapshot 0).
-        base_index = 0
-        base_edges: Set[Edge] = set(self._initial_edges)
-        for cached_index in sorted(self._edge_cache):
-            if base_index < cached_index <= index:
-                base_index = cached_index
-                base_edges = set(self._edge_cache[cached_index])
-        for step in range(base_index, index):
-            base_edges = self._deltas[step].apply(base_edges)
-        result = frozenset(base_edges)
+        base = max((i for i in self._edge_cache if i < index), default=0)
+        edges = set(self._edge_cache[base] if base else self._initial_edges)
+        for delta in self._deltas[base:index]:
+            edges = delta.apply(edges)
+        result = frozenset(edges)
         self._edge_cache[index] = result
         if len(self._edge_cache) > self._CACHE_SIZE:
             self._edge_cache.popitem(last=False)
         return result
 
+    @cached_property
+    def _first(self) -> DiGraph:
+        """Snapshot 0: the one snapshot built from an edge list, kept."""
+        return DiGraph.from_edges(
+            self.num_nodes,
+            self._initial_edges,
+            directed=self.directed,
+            node_labels=self.node_labels,
+        )
+
     def snapshot(self, index: int) -> DiGraph:
-        """Materialise snapshot ``index`` as a frozen :class:`DiGraph`."""
+        """Materialise snapshot ``index`` as a frozen :class:`DiGraph`.
+
+        Splices the stored deltas with :meth:`DiGraph.with_delta` onto the
+        nearest cached snapshot before ``index``, else onto snapshot 0.
+        """
         index = self._check_index(index)
         cached = self._snapshot_cache.get(index)
         if cached is not None:
             self._snapshot_cache.move_to_end(index)
             return cached
-        graph = DiGraph.from_edges(
-            self.num_nodes,
-            self.edges_at(index),
-            directed=self.directed,
-            node_labels=self.node_labels,
-        )
+        base = max((i for i in self._snapshot_cache if i < index), default=0)
+        graph = self._snapshot_cache[base] if base else self._first
+        for delta in self._deltas[base:index]:
+            graph = graph.with_delta(delta.added, delta.removed)
         self._snapshot_cache[index] = graph
         if len(self._snapshot_cache) > self._CACHE_SIZE:
             self._snapshot_cache.popitem(last=False)

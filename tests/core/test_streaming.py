@@ -7,7 +7,7 @@ from repro.core.crashsim_t import crashsim_t
 from repro.core.params import CrashSimParams
 from repro.core.queries import CompositeQuery, ThresholdQuery, TrendQuery
 from repro.core.streaming import TemporalQuerySession
-from repro.errors import ParameterError, TemporalError
+from repro.errors import EdgeNotFoundError, ParameterError, TemporalError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import evolve_snapshots, preferential_attachment
 
@@ -57,6 +57,38 @@ class TestStreamingBasics:
         by_delta.push_snapshot(first)
         by_delta.push_delta(added=[(3, 1)], removed=[(2, 1)])
         assert by_delta.survivors == by_snapshot.survivors
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_push_delta_matches_push_snapshot_on_labelled_graph(self, directed):
+        base = preferential_attachment(30, 2, directed=directed, seed=6)
+        labels = [f"user-{v}" for v in range(base.num_nodes)]
+        edges = sorted(base.edges())
+        if not directed:
+            edges = [(s, t) for s, t in edges if s < t]
+        first = DiGraph.from_edges(
+            base.num_nodes, edges, directed=directed, node_labels=labels
+        )
+        removed = edges[::7]
+        added = [(s, t) for s in (4, 9) for t in (17, 23) if (s, t) not in edges]
+        kept = [edge for edge in edges if edge not in removed]
+        second = DiGraph.from_edges(
+            base.num_nodes, kept + added, directed=directed, node_labels=labels
+        )
+
+        def started():
+            session = TemporalQuerySession(
+                2, ThresholdQuery(theta=0.01), params=PARAMS, seed=11
+            )
+            session.push_snapshot(first)
+            return session
+
+        by_delta, by_snapshot = started(), started()
+        assert by_delta.push_delta(added, removed) == by_snapshot.push_snapshot(
+            second
+        )
+        assert by_delta.scores == by_snapshot.scores
+        assert by_delta._graph.same_structure(second)
+        assert by_delta._graph.node_labels == tuple(labels)
 
     def test_scores_exposed(self):
         first, _ = pair_snapshots()
@@ -139,6 +171,34 @@ class TestStreamingValidation:
         assert session.snapshots_seen == 1
         # The rejected push left no trace: the next delta lands as if it
         # were the session's first.
+        untouched = started()
+        assert session.push_delta(added=[(3, 1)]) == untouched.push_delta(
+            added=[(3, 1)]
+        )
+        assert session.scores == untouched.scores
+
+    @pytest.mark.parametrize(
+        "removed",
+        [[(0, 3)], [(2, 2)], [(2, 0), (2, 0)]],
+        ids=["absent", "self-loop", "removed-twice"],
+    )
+    def test_absent_removal_rejected_untouched(self, removed):
+        first, _ = pair_snapshots()
+
+        def started():
+            session = TemporalQuerySession(
+                0, ThresholdQuery(theta=0.3), params=PARAMS, seed=9
+            )
+            session.push_snapshot(first)
+            return session
+
+        session = started()
+        survivors, scores = session.survivors, session.scores
+        with pytest.raises(EdgeNotFoundError):
+            session.push_delta(added=[(3, 1)], removed=removed)
+        assert session.survivors == survivors
+        assert session.scores == scores
+        assert session.snapshots_seen == 1
         untouched = started()
         assert session.push_delta(added=[(3, 1)]) == untouched.push_delta(
             added=[(3, 1)]

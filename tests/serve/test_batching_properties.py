@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import api
+from repro import api, obs
 from repro.core import BatchQuery, CrashSimParams, crashsim, crashsim_batch
 from repro.core.revreach import revreach_levels
 from repro.errors import ParameterError
@@ -154,6 +154,20 @@ class TestCrashsimBatchInvariance:
             GRAPH, 3, params=PARAMS, seed=np.random.default_rng(77)
         )
         assert results[0].scores.tobytes() == solo.scores.tobytes()
+
+    def test_repeated_source_builds_its_tree_once(self):
+        queries = [
+            BatchQuery(7, seed=seed, candidates=SMALL_SET) for seed in (1, 2, 3)
+        ]
+        builds = obs.REGISTRY.get("repro_tree_builds_total")
+        before = builds.value
+        results = crashsim_batch(GRAPH, queries, params=PARAMS)
+        assert builds.value - before == 1
+        for query, result in zip(queries, results):
+            solo = crashsim(
+                GRAPH, 7, candidates=SMALL_SET, params=PARAMS, seed=query.seed
+            )
+            assert result.scores.tobytes() == solo.scores.tobytes()
 
     def test_provider_tree_for_another_source_is_rejected(self):
         other = revreach_levels(GRAPH, 5, PARAMS.l_max, PARAMS.c)

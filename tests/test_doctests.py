@@ -6,10 +6,12 @@ import pytest
 
 import repro.core.queries
 import repro.graph.builder
+import repro.graph.digraph
 import repro.metrics.timing
 
 MODULES = [
     repro.graph.builder,
+    repro.graph.digraph,
     repro.core.queries,
     repro.metrics.timing,
 ]
