@@ -1,29 +1,13 @@
 """CrashSim-T (paper Algorithm 3): temporal SimRank queries with pruning.
 
-The driver walks the query interval snapshot by snapshot, maintaining the
-candidate set ``Ω`` (which only ever shrinks) and the previous snapshot's
-scores.  Per transition it:
-
-1. builds the source's reverse reachable tree on both snapshots (the
-   Algorithm-3 line-7 gate); if they differ, everything is recomputed;
-2. otherwise applies **delta pruning** when
-   ``|E(Δ)| < |Ω| · n_r / |E(Ω)|`` — candidates outside the affected area
-   of the changed edges keep their previous estimate;
-3. and **difference pruning** when ``|E(Ω)| < n_r`` — candidates whose own
-   reverse reachable tree is unchanged keep their previous estimate (the
-   trees are compared on the full snapshots, not the paper's Ω-induced
-   subgraph, which is unsound — DESIGN.md §2.6).  Candidate trees come out
-   of a :class:`~repro.core.pruning.CandidateTreeCache`: the previous
-   snapshot's tree is reused (never rebuilt) when the candidate was already
-   compared last transition, the current tree is advanced incrementally via
-   :func:`~repro.core.revreach.revreach_update`, and equality fast-rejects
-   through level fingerprints before touching any array;
-4. runs CrashSim only on the residual set ``Ω'``, merges carried and fresh
-   scores, and filters ``Ω`` through the query predicate.
-
-The affected area is computed on *both* snapshots and unioned, so removed
-edges (whose paths exist only in the older snapshot) are covered — a
-conservative strengthening of Theorem 2 that the soundness tests rely on.
+:func:`crashsim_t` answers a query over a stored
+:class:`~repro.graph.temporal.TemporalGraph` by replaying one
+:class:`~repro.core.streaming.TemporalQuerySession` over the interval: the
+first snapshot is scored in full, then each later snapshot is pushed with
+its stored delta until the candidate set ``Ω`` empties.  The session holds
+the transition itself — source-tree rebase, delta pruning (Property 1),
+difference pruning (Property 2), the partial recompute and the Ω step — so
+the batch and the streaming forms cannot drift apart.
 """
 
 from __future__ import annotations
@@ -31,52 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
-from repro.core.crashsim import crashsim
 from repro.core.params import CrashSimParams
-from repro.core.pruning import (
-    CandidateTreeCache,
-    affected_area,
-    count_candidate_edges,
-)
 from repro.core.queries import TemporalQuery
-from repro.core.revreach import revreach_levels, revreach_update
+from repro.core.streaming import CrashSimTStats, TemporalQuerySession
 from repro.errors import ParameterError, QueryError
 from repro.graph.temporal import TemporalGraph
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike
 
 __all__ = ["CrashSimTStats", "TemporalQueryResult", "crashsim_t"]
-
-
-@dataclass
-class CrashSimTStats:
-    """Instrumentation of one CrashSim-T run (for the pruning ablation)."""
-
-    snapshots_processed: int = 0
-    source_tree_stable: int = 0
-    source_tree_reused: int = 0
-    delta_pruning_applied: int = 0
-    difference_pruning_applied: int = 0
-    candidates_carried: int = 0
-    candidates_recomputed: int = 0
-    candidate_trees_built: int = 0
-    candidate_trees_cached: int = 0
-    candidate_trees_advanced: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "snapshots_processed": self.snapshots_processed,
-            "source_tree_stable": self.source_tree_stable,
-            "source_tree_reused": self.source_tree_reused,
-            "delta_pruning_applied": self.delta_pruning_applied,
-            "difference_pruning_applied": self.difference_pruning_applied,
-            "candidates_carried": self.candidates_carried,
-            "candidates_recomputed": self.candidates_recomputed,
-            "candidate_trees_built": self.candidate_trees_built,
-            "candidate_trees_cached": self.candidate_trees_cached,
-            "candidate_trees_advanced": self.candidate_trees_advanced,
-        }
 
 
 @dataclass(frozen=True)
@@ -96,12 +42,6 @@ class TemporalQueryResult:
         still alive *entering* that snapshot.
     stats:
         Pruning instrumentation.
-    degraded:
-        Whether the interval was cut short by a deadline or lost snapshot
-        evaluations (resilient parallel driver only): the survivors then
-        reflect a *prefix* of the requested interval — every processed
-        transition is exact, but later snapshots never filtered Ω.  The
-        batch driver always completes, so this stays ``False`` there.
     """
 
     source: int
@@ -109,7 +49,6 @@ class TemporalQueryResult:
     survivors: Tuple[int, ...]
     history: Tuple[Dict[int, float], ...]
     stats: CrashSimTStats
-    degraded: bool = False
 
     @property
     def survivor_set(self) -> Set[int]:
@@ -125,8 +64,6 @@ def crashsim_t(
     params: Optional[CrashSimParams] = None,
     use_delta_pruning: bool = True,
     use_difference_pruning: bool = True,
-    incremental_tree_gate: bool = True,
-    tree_variant: str = "corrected",
     seed: RngLike = None,
     sampler: str = "cdf",
 ) -> TemporalQueryResult:
@@ -149,21 +86,12 @@ def crashsim_t(
         (``c = 0.6``, ``ε = 0.025``).
     use_delta_pruning, use_difference_pruning:
         Ablation switches for Properties 1 and 2.
-    incremental_tree_gate:
-        Skip rebuilding the source's reverse reachable tree when the
-        snapshot delta provably cannot touch it
-        (:func:`~repro.core.pruning.tree_unaffected_by_delta`) — an exact
-        O(|Δ|) optimisation of Algorithm 3's line-7 comparison.
-    tree_variant:
-        Forwarded to CrashSim / revReach (see DESIGN.md §2.1).
     seed:
         Anything :func:`repro.rng.ensure_rng` accepts.
     sampler:
         Weighted neighbour-sampling strategy forwarded to every
         per-snapshot CrashSim run (``"cdf"`` default / ``"alias"`` opt-in).
     """
-    params = params or CrashSimParams()
-    rng = ensure_rng(seed)
     start, stop = interval if interval is not None else (0, temporal.num_snapshots)
     if not 0 <= start < stop <= temporal.num_snapshots:
         raise QueryError(
@@ -173,157 +101,27 @@ def crashsim_t(
         raise ParameterError(
             f"source {source} outside the node range [0, {temporal.num_nodes})"
         )
-    source = int(source)
-    stats = CrashSimTStats()
-    l_max = params.l_max
-
-    # --- First snapshot: full single-source CrashSim over all candidates.
-    graph_prev = temporal.snapshot(start)
-    result = crashsim(
-        graph_prev,
+    session = TemporalQuerySession(
         source,
+        query,
         params=params,
-        tree_variant=tree_variant,
-        seed=rng,
+        use_delta_pruning=use_delta_pruning,
+        use_difference_pruning=use_difference_pruning,
+        seed=seed,
         sampler=sampler,
     )
-    stats.snapshots_processed += 1
-    stats.candidates_recomputed += result.candidates.size
-    scores_prev: Dict[int, float] = result.as_dict()
-    history: List[Dict[int, float]] = [dict(scores_prev)]
-    candidates = result.candidates
-    mask = query.initial_mask(result.scores)
-    omega: List[int] = [int(node) for node in candidates[mask]]
-    tree_prev = result.tree
-
-    n_r = params.n_r(max(temporal.num_nodes, 2))
-    candidate_trees = CandidateTreeCache()
-
+    session.push_snapshot(temporal.snapshot(start))
+    history: List[Dict[int, float]] = [dict(session._scores)]
     for index in range(start + 1, stop):
-        if not omega:
+        if not session.survivors:
             break
-        graph_cur = temporal.snapshot(index)
-        delta_cur = temporal.delta(index)
-        if incremental_tree_gate and tree_variant == "corrected":
-            # Exact incremental rebase: untouched levels are reused and a
-            # delta outside the tree's support returns the same object.
-            tree_cur = revreach_update(
-                tree_prev,
-                graph_cur,
-                delta_cur.added,
-                delta_cur.removed,
-                directed=temporal.directed,
-            )
-            if tree_cur is tree_prev:
-                stats.source_tree_reused += 1
-        else:
-            tree_cur = revreach_levels(
-                graph_cur, source, l_max, params.c, variant=tree_variant
-            )
-        stats.snapshots_processed += 1
-
-        residual: Set[int] = set(omega)
-        carried: Set[int] = set()
-        if tree_cur is tree_prev or tree_cur.same_as(tree_prev):
-            stats.source_tree_stable += 1
-            delta = delta_cur
-            edge_count_omega = max(count_candidate_edges(graph_cur, omega), 1)
-
-            if (
-                use_delta_pruning
-                and not delta.is_empty()
-                and delta.num_changed < len(omega) * n_r / edge_count_omega
-            ):
-                stats.delta_pruning_applied += 1
-                changed = set(delta.added) | set(delta.removed)
-                affected = affected_area(graph_cur, changed, l_max) | affected_area(
-                    graph_prev, changed, l_max
-                )
-                exempt = residual - affected
-                carried |= exempt
-                residual -= exempt
-            elif use_delta_pruning and delta.is_empty():
-                # Identical snapshots: every candidate's estimate carries.
-                stats.delta_pruning_applied += 1
-                carried |= residual
-                residual = set()
-
-            if (
-                use_difference_pruning
-                and residual
-                and edge_count_omega < n_r
-            ):
-                stats.difference_pruning_applied += 1
-                # Algorithm 3 lines 16-17 compare the candidates' trees on
-                # the Ω-induced subgraph G(V, E_Ω); that restriction is
-                # unsound when a candidate's reverse ball leaves Ω (its
-                # estimate can change while the restricted tree does not),
-                # so we compare on the full snapshots — same trigger
-                # condition, sound carry (DESIGN.md §2.6).  The cache keeps
-                # each candidate's latest tree, so the previous-snapshot
-                # side is never rebuilt once seen and the current side is
-                # an incremental advance over the delta.
-                for node in sorted(residual):
-                    prev_candidate_tree = candidate_trees.tree_for(
-                        node,
-                        index - 1,
-                        graph_prev,
-                        l_max,
-                        params.c,
-                        variant=tree_variant,
-                    )
-                    cur_candidate_tree = candidate_trees.advance(
-                        node,
-                        prev_candidate_tree,
-                        index,
-                        graph_cur,
-                        delta_cur.added,
-                        delta_cur.removed,
-                        directed=temporal.directed,
-                    )
-                    if (
-                        cur_candidate_tree is prev_candidate_tree
-                        or cur_candidate_tree.same_as(prev_candidate_tree)
-                    ):
-                        carried.add(node)
-                        residual.discard(node)
-
-        stats.candidates_carried += len(carried)
-        stats.candidates_recomputed += len(residual)
-
-        scores_cur: Dict[int, float] = {node: scores_prev[node] for node in carried}
-        if residual:
-            partial = crashsim(
-                graph_cur,
-                source,
-                candidates=sorted(residual),
-                params=params,
-                tree=tree_cur,
-                tree_variant=tree_variant,
-                seed=rng,
-                sampler=sampler,
-            )
-            scores_cur.update(partial.as_dict())
-        history.append(dict(scores_cur))
-
-        ordered = np.array(sorted(omega), dtype=np.int64)
-        prev_vector = np.array([scores_prev[int(v)] for v in ordered])
-        cur_vector = np.array([scores_cur[int(v)] for v in ordered])
-        keep = query.step_mask(prev_vector, cur_vector)
-        omega = [int(v) for v in ordered[keep]]
-        candidate_trees.retain(omega)
-
-        scores_prev = scores_cur
-        graph_prev = graph_cur
-        tree_prev = tree_cur
-
-    stats.candidate_trees_built = candidate_trees.builds
-    stats.candidate_trees_cached = candidate_trees.hits
-    stats.candidate_trees_advanced = candidate_trees.advances
+        # The stored delta is already canonical: no O(m) re-diff.
+        session._advance(temporal.snapshot(index), temporal.delta(index))
+        history.append(dict(session._scores))
     return TemporalQueryResult(
-        source=source,
+        source=session.source,
         interval=(start, stop),
-        survivors=tuple(sorted(omega)),
+        survivors=tuple(sorted(session.survivors)),
         history=tuple(history),
-        stats=stats,
+        stats=session.stats,
     )

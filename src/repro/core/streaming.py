@@ -1,11 +1,30 @@
-"""Streaming temporal SimRank: answer queries over an unbounded snapshot feed.
+"""CrashSim-T (paper Algorithm 3) as an online session over a snapshot stream.
 
-:func:`~repro.core.crashsim_t.crashsim_t` needs the whole interval up
-front; a monitoring deployment instead *receives* snapshots one at a time
-and wants the surviving candidate set after each.  :class:`TemporalQuerySession`
-is that online form of Algorithm 3: push a snapshot (or just its delta),
-read the current ``Ω`` — with the same partial computation, pruning rules,
-and incremental source-tree reuse as the batch driver.
+:class:`TemporalQuerySession` holds the one implementation of Algorithm 3's
+transition: push a snapshot (or just its delta), read the surviving
+candidate set ``Ω``.  Per transition it:
+
+1. rebases the source's reverse reachable tree over the delta
+   (:func:`~repro.core.revreach.revreach_update`, exact: untouched levels
+   are reused, and a delta outside the tree's support returns the same
+   object); if the tree changed, every candidate is recomputed;
+2. otherwise applies **delta pruning** when
+   ``|E(Δ)| < |Ω| · n_r / |E(Ω)|`` — candidates outside the affected area
+   of the changed edges keep their previous estimate.  The affected area is
+   computed on *both* snapshots and unioned, so removed edges (whose paths
+   exist only in the older snapshot) are covered — a conservative
+   strengthening of Theorem 2;
+3. and **difference pruning** when ``|E(Ω)| < n_r`` — candidates whose own
+   reverse reachable tree is unchanged keep their previous estimate (the
+   trees are compared on the full snapshots, not the paper's Ω-induced
+   subgraph, which is unsound — DESIGN.md §2.6).  Candidate trees come out
+   of a :class:`~repro.core.pruning.CandidateTreeCache`, reused across
+   pushes and advanced incrementally over each delta;
+4. runs CrashSim only on the residual set ``Ω'``, merges carried and fresh
+   scores, and filters ``Ω`` through the query predicate.
+
+:func:`~repro.core.crashsim_t.crashsim_t` is a replay of one session over a
+stored :class:`~repro.graph.temporal.TemporalGraph`.
 
     session = TemporalQuerySession(source, ThresholdQuery(theta=0.05))
     session.push_snapshot(graph_t0)
@@ -18,6 +37,7 @@ snapshot) regardless of how many snapshots have streamed through.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -37,9 +57,46 @@ from repro.graph.digraph import DiGraph
 from repro.graph.temporal import EdgeDelta
 from repro.rng import RngLike, ensure_rng
 
-__all__ = ["TemporalQuerySession"]
+__all__ = ["CrashSimTStats", "TemporalQuerySession"]
 
 Edge = Tuple[int, int]
+
+
+@dataclass
+class CrashSimTStats:
+    """Instrumentation of one CrashSim-T run (for the pruning ablation)."""
+
+    snapshots_processed: int = 0
+    source_tree_stable: int = 0
+    source_tree_reused: int = 0
+    delta_pruning_applied: int = 0
+    difference_pruning_applied: int = 0
+    candidates_carried: int = 0
+    candidates_recomputed: int = 0
+    candidate_trees_built: int = 0
+    candidate_trees_cached: int = 0
+    candidate_trees_advanced: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "snapshots_processed": self.snapshots_processed,
+            "source_tree_stable": self.source_tree_stable,
+            "source_tree_reused": self.source_tree_reused,
+            "delta_pruning_applied": self.delta_pruning_applied,
+            "difference_pruning_applied": self.difference_pruning_applied,
+            "candidates_carried": self.candidates_carried,
+            "candidates_recomputed": self.candidates_recomputed,
+            "candidate_trees_built": self.candidate_trees_built,
+            "candidate_trees_cached": self.candidate_trees_cached,
+            "candidate_trees_advanced": self.candidate_trees_advanced,
+        }
+
+
+def _canonical_arcs(arcs: Iterable[Edge], directed: bool) -> frozenset:
+    """``EdgeDelta``'s arc form: no self-loops; undirected pairs smaller id first."""
+    if directed:
+        return frozenset((s, t) for s, t in arcs if s != t)
+    return frozenset((min(s, t), max(s, t)) for s, t in arcs if s != t)
 
 
 class TemporalQuerySession:
@@ -55,12 +112,19 @@ class TemporalQuerySession:
     params:
         CrashSim parameters (defaults match the paper's temporal setting).
     use_delta_pruning, use_difference_pruning:
-        Property 1 / 2 switches, as in the batch driver.
+        Ablation switches for Properties 1 and 2.
     seed:
         Drives all Monte-Carlo trials of the session.
     sampler:
         Weighted neighbour-sampling strategy forwarded to every CrashSim
         run of the session (``"cdf"`` default / ``"alias"`` opt-in).
+
+    Attributes
+    ----------
+    stats:
+        :class:`CrashSimTStats` over every snapshot the transition ran on.
+        A push arriving after ``Ω`` emptied only records the snapshot, so
+        it counts in :attr:`snapshots_seen` but not in the stats.
     """
 
     def __init__(
@@ -87,6 +151,7 @@ class TemporalQuerySession:
         self._omega: List[int] = []
         self._candidate_trees = CandidateTreeCache()
         self.snapshots_seen = 0
+        self.stats = CrashSimTStats()
 
     # ------------------------------------------------------------------
     # State access
@@ -117,8 +182,8 @@ class TemporalQuerySession:
         if graph.num_nodes != self._graph.num_nodes:
             raise TemporalError("snapshot streams share one node set")
         delta = EdgeDelta(
-            added=graph.arcs_not_in(self._graph),
-            removed=self._graph.arcs_not_in(graph),
+            added=_canonical_arcs(graph.arcs_not_in(self._graph), graph.directed),
+            removed=_canonical_arcs(self._graph.arcs_not_in(graph), graph.directed),
         )
         return self._advance(graph, delta)
 
@@ -135,7 +200,10 @@ class TemporalQuerySession:
         added = [(int(s), int(t)) for s, t in added]
         removed = [(int(s), int(t)) for s, t in removed]
         graph = self._graph.with_delta(added, removed)
-        delta = EdgeDelta(added=frozenset(added), removed=frozenset(removed))
+        delta = EdgeDelta(
+            added=_canonical_arcs(added, graph.directed),
+            removed=_canonical_arcs(removed, graph.directed),
+        )
         return self._advance(graph, delta)
 
     # ------------------------------------------------------------------
@@ -161,19 +229,22 @@ class TemporalQuerySession:
         mask = self.query.initial_mask(result.scores)
         self._omega = [int(v) for v in result.candidates[mask]]
         self.snapshots_seen = 1
+        self.stats.snapshots_processed += 1
+        self.stats.candidates_recomputed += result.candidates.size
         return self.survivors
 
     def _advance(self, graph: DiGraph, delta: EdgeDelta) -> Tuple[int, ...]:
         """Process one transition **transactionally**.
 
+        ``delta`` takes the current snapshot to ``graph`` in canonical arcs.
         Everything — the advanced source tree, pruning decisions, candidate
-        -tree cache mutations, Monte-Carlo scores, the new Ω — is computed
-        into locals (and a cloned cache) first; session state is assigned
-        only in the commit block at the end.  If anything raises mid-push
-        (a worker crash surfacing as an exception, a fault injection, a
-        keyboard interrupt), the session stays exactly in its pre-push
-        state — including the RNG, whose bit-generator state is restored so
-        a retried push reproduces the same trial bits.
+        -tree cache mutations, Monte-Carlo scores, the new Ω, the stats —
+        is computed into locals (and a cloned cache) first; session state
+        is assigned only in the commit block at the end.  If anything
+        raises mid-push (a worker crash surfacing as an exception, a fault
+        injection, a keyboard interrupt), the session stays exactly in its
+        pre-push state — including the RNG, whose bit-generator state is
+        restored so a retried push reproduces the same trial bits.
         """
         rng_state = self._rng.bit_generator.state
         try:
@@ -195,18 +266,22 @@ class TemporalQuerySession:
             delta.removed,
             directed=graph.directed,
         )
+        reused = tree_cur is self._tree
+        stable = reused or tree_cur.same_as(self._tree)
         n_r = self.params.n_r(max(graph.num_nodes, 2))
 
         candidate_trees = self._candidate_trees.clone()
         residual: Set[int] = set(self._omega)
         carried: Set[int] = set()
-        if tree_cur is self._tree or tree_cur.same_as(self._tree):
+        delta_pruned = difference_pruned = False
+        if stable:
             edge_count = max(count_candidate_edges(graph, self._omega), 1)
             if (
                 self.use_delta_pruning
                 and not delta.is_empty()
                 and delta.num_changed < len(self._omega) * n_r / edge_count
             ):
+                delta_pruned = True
                 changed = set(delta.added) | set(delta.removed)
                 affected = affected_area(
                     graph, changed, self.params.l_max
@@ -215,13 +290,16 @@ class TemporalQuerySession:
                 carried |= exempt
                 residual -= exempt
             elif self.use_delta_pruning and delta.is_empty():
+                # Identical snapshots: every candidate's estimate carries.
+                delta_pruned = True
                 carried |= residual
                 residual = set()
             if self.use_difference_pruning and residual and edge_count < n_r:
                 # Full-graph tree comparison; the paper's E_Ω restriction
-                # is unsound (see crashsim_t / DESIGN.md §2.6).  Candidate
-                # trees come from the cloned cache: reused across pushes,
-                # advanced incrementally over the delta, committed below.
+                # is unsound (DESIGN.md §2.6).  Candidate trees come from
+                # the cloned cache: reused across pushes, advanced
+                # incrementally over the delta, committed below.
+                difference_pruned = True
                 for node in sorted(residual):
                     prev_tree = candidate_trees.tree_for(
                         node,
@@ -267,6 +345,17 @@ class TemporalQuerySession:
         candidate_trees.retain(omega)
 
         # --- Commit: the push can no longer fail past this point.
+        stats = self.stats
+        stats.snapshots_processed += 1
+        stats.source_tree_reused += int(reused)
+        stats.source_tree_stable += int(stable)
+        stats.delta_pruning_applied += int(delta_pruned)
+        stats.difference_pruning_applied += int(difference_pruned)
+        stats.candidates_carried += len(carried)
+        stats.candidates_recomputed += len(residual)
+        stats.candidate_trees_built = candidate_trees.builds
+        stats.candidate_trees_cached = candidate_trees.hits
+        stats.candidate_trees_advanced = candidate_trees.advances
         self._omega = omega
         self._candidate_trees = candidate_trees
         self._scores = scores_cur

@@ -4,7 +4,7 @@ The chaos suite (``tests/test_failure_injection.py``) needs to kill worker
 processes, stall shards past a deadline, and raise mid-shard — *inside*
 worker processes, repeatably, without touching production code paths.  This
 module provides exactly that: named **sites** in the execution layers call
-:func:`inject` with their shard / snapshot index, and the call is a no-op
+:func:`inject` with their shard / push index, and the call is a no-op
 unless the ``REPRO_FAULTS`` environment variable carries a plan.
 
 Environment contract
@@ -37,8 +37,6 @@ Sites currently instrumented:
 * ``"shard"`` — a Monte-Carlo trial shard starting
   (:mod:`repro.parallel.runner`, both the pool workers and the serial
   in-process path); index = shard number.
-* ``"snapshot"`` — a temporal snapshot evaluation starting
-  (:mod:`repro.parallel.temporal`); index = snapshot index.
 * ``"advance"`` — a :class:`~repro.core.streaming.TemporalQuerySession`
   push, after pruning but before scoring; index = the snapshot ordinal
   being pushed.

@@ -9,12 +9,11 @@ The subsystem has three layers (docs/internals.md §7 and §13):
   in-process fallback (``workers=1`` or restricted platforms), plus the
   process-wide persistent default executor
   (:func:`get_default_executor`) the drivers share;
-* the drivers — :func:`parallel_crashsim`,
-  :func:`parallel_crashsim_multi_source`, and
-  :func:`parallel_crashsim_t` — which shard work using an autotuned plan
-  (:func:`plan_shards`) and ``numpy.random.SeedSequence.spawn`` so any
-  worker count on any tier yields identical, reproducible scores for the
-  same master seed.
+* the drivers — :func:`parallel_crashsim` and
+  :func:`parallel_crashsim_multi_source` — which shard work using an
+  autotuned plan (:func:`plan_shards`) and
+  ``numpy.random.SeedSequence.spawn`` so any worker count on any tier
+  yields identical, reproducible scores for the same master seed.
 """
 
 from repro.parallel.executor import (
@@ -46,7 +45,6 @@ from repro.parallel.shared_graph import (
     attach_graph,
     attach_tree,
 )
-from repro.parallel.temporal import parallel_crashsim_t
 
 __all__ = [
     "ParallelExecutor",
@@ -62,7 +60,6 @@ __all__ = [
     "plan_shards",
     "parallel_crashsim",
     "parallel_crashsim_multi_source",
-    "parallel_crashsim_t",
     "ArraySpec",
     "SharedArray",
     "SharedGraph",

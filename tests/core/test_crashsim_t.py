@@ -226,3 +226,37 @@ class TestInterface:
             paper_temporal, 0, ThresholdQuery(theta=0.0), params=PARAMS, seed=4
         )
         assert result.survivor_set == set(result.survivors)
+
+    def test_repeat_run_identical(self, paper_temporal):
+        query = TrendQuery("increasing")
+        one = crashsim_t(paper_temporal, 1, query, params=PARAMS, seed=3)
+        two = crashsim_t(paper_temporal, 1, query, params=PARAMS, seed=3)
+        assert one.survivors == two.survivors
+        assert one.history == two.history
+        assert one.stats.as_dict() == two.stats.as_dict()
+
+    def test_omega_only_shrinks(self, paper_temporal):
+        result = crashsim_t(
+            paper_temporal, 0, ThresholdQuery(theta=0.005), params=PARAMS, seed=1
+        )
+        alive = [set(snapshot) for snapshot in result.history]
+        # history[0] holds all candidates; Ω entering later snapshots only
+        # ever loses members.
+        for earlier, later in zip(alive[1:], alive[2:]):
+            assert later <= earlier
+        assert set(result.survivors) <= alive[-1]
+
+    def test_history_first_snapshot_covers_all_candidates(self, paper_temporal):
+        result = crashsim_t(
+            paper_temporal, 0, ThresholdQuery(theta=0.0), params=PARAMS, seed=1
+        )
+        assert len(result.history[0]) == paper_temporal.num_nodes - 1
+
+    def test_threshold_query_filters(self, paper_temporal):
+        strict = crashsim_t(
+            paper_temporal, 0, ThresholdQuery(theta=0.9), params=PARAMS, seed=2
+        )
+        lax = crashsim_t(
+            paper_temporal, 0, ThresholdQuery(theta=0.0), params=PARAMS, seed=2
+        )
+        assert len(strict.survivors) <= len(lax.survivors)

@@ -34,6 +34,7 @@ class TestStreamingBasics:
             session.push_snapshot(graph)
         assert session.survivors == batch.survivors
         assert session.snapshots_seen == temporal.num_snapshots
+        assert session.stats.as_dict() == batch.stats.as_dict()
 
     def test_threshold_drop_detected(self):
         first, second = pair_snapshots()
@@ -111,6 +112,18 @@ class TestStreamingBasics:
         assert 1 in session.survivors
         session.push_snapshot(second)  # similarity collapses to 0
         assert session.survivors == ()
+
+    def test_push_after_omega_empties_is_not_a_transition(self):
+        first, second = pair_snapshots()
+        session = TemporalQuerySession(
+            0, ThresholdQuery(theta=0.9), params=PARAMS, seed=1
+        )
+        assert session.push_snapshot(first) == ()
+        before = session.stats.as_dict()
+        assert before["snapshots_processed"] == 1
+        session.push_snapshot(second)
+        assert session.snapshots_seen == 2
+        assert session.stats.as_dict() == before
 
     def test_constant_state_across_long_stream(self):
         base = preferential_attachment(30, 2, directed=True, seed=4)

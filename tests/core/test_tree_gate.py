@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import streaming
 from repro.core.crashsim_t import crashsim_t
 from repro.core.params import CrashSimParams
 from repro.core.pruning import tree_unaffected_by_delta
@@ -141,19 +142,24 @@ class TestIncrementalUpdate:
 
 class TestGateInCrashSimT:
     def build_quiet_workload(self):
-        base = preferential_attachment(120, 3, directed=True, seed=5)
+        base = preferential_attachment(300, 2, directed=True, seed=5)
         return evolve_snapshots(base, 6, churn_rate=0.001, seed=6)
 
-    def test_gated_and_ungated_runs_agree(self):
+    def test_gated_and_ungated_runs_agree(self, monkeypatch):
         temporal = self.build_quiet_workload()
         params = CrashSimParams(c=0.6, epsilon=0.1, n_r_override=200)
-        query = ThresholdQuery(theta=0.05)
-        gated = crashsim_t(
-            temporal, 3, query, params=params, seed=7, incremental_tree_gate=True
-        )
-        ungated = crashsim_t(
-            temporal, 3, query, params=params, seed=7, incremental_tree_gate=False
-        )
+        query = ThresholdQuery(theta=0.0)
+        gated = crashsim_t(temporal, 50, query, params=params, seed=7)
+
+        def rebuild(tree, new_graph, added, removed, *, directed=True):
+            return revreach_levels(new_graph, tree.source, tree.l_max, tree.c)
+
+        # Ungated: every transition rebuilds the source tree from scratch.
+        monkeypatch.setattr(streaming, "revreach_update", rebuild)
+        ungated = crashsim_t(temporal, 50, query, params=params, seed=7)
+        assert gated.stats.source_tree_reused > 0
+        assert ungated.stats.source_tree_reused == 0
+        assert gated.stats.candidates_carried > 0
         # The gate is exact, so both runs see identical trees, hence make
         # identical pruning decisions and consume identical randomness.
         assert gated.survivors == ungated.survivors

@@ -23,16 +23,14 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.core.crashsim import crashsim
 from repro.core.params import CrashSimParams
-from repro.core.queries import ThresholdQuery
 from repro.errors import DegradedResultWarning, ParameterError
-from repro.graph.generators import erdos_renyi, evolve_snapshots
+from repro.graph.generators import erdos_renyi
 from repro.parallel import (
     MAX_SHARDS,
     ParallelExecutor,
     get_default_executor,
     parallel_crashsim,
     parallel_crashsim_multi_source,
-    parallel_crashsim_t,
     plan_shards,
     reset_default_executors,
     resolve_mode,
@@ -108,19 +106,6 @@ class TestThreadTierIdentity:
         assert len(threaded) == len(serial)
         for ours, theirs in zip(threaded, serial):
             assert to_hex(ours.scores) == to_hex(theirs.scores)
-
-    def test_temporal_matches_serial(self, random_graph):
-        temporal = evolve_snapshots(random_graph, 5, churn_rate=0.02, seed=9)
-        query = ThresholdQuery(theta=0.001)
-        serial = parallel_crashsim_t(
-            temporal, 0, query, params=PARAMS, seed=77, workers=1
-        )
-        threaded = parallel_crashsim_t(
-            temporal, 0, query, params=PARAMS, seed=77, workers=2,
-            mode="thread",
-        )
-        assert threaded.survivors == serial.survivors
-        assert threaded.history == serial.history
 
     def test_jit_env_leg_matches_serial(self, random_graph, monkeypatch):
         # With REPRO_JIT=1, auto resolves to threads when numba is

@@ -40,11 +40,7 @@ from repro.faults import InjectedFault
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import evolve_snapshots, preferential_attachment
 from repro.graph.temporal import EdgeDelta, TemporalGraphBuilder
-from repro.parallel import (
-    ParallelExecutor,
-    parallel_crashsim,
-    parallel_crashsim_t,
-)
+from repro.parallel import ParallelExecutor, parallel_crashsim
 
 PARAMS = CrashSimParams(c=0.6, epsilon=0.1, n_r_override=20)
 
@@ -364,54 +360,6 @@ class TestChaosStatic:
         assert excinfo.value.elapsed >= 1e-6
 
 
-class TestChaosTemporal:
-    QUERY = ThresholdQuery(theta=0.001)
-
-    def _temporal(self, chaos_graph):
-        return evolve_snapshots(chaos_graph, 6, churn_rate=0.01, seed=9)
-
-    def test_snapshot_kill_recovers_bit_identical(
-        self, chaos_graph, pool_available
-    ):
-        temporal = self._temporal(chaos_graph)
-        clean = parallel_crashsim_t(
-            temporal, 0, self.QUERY, params=PARAMS64, seed=77, workers=2
-        )
-        with faults.active({"snapshot": {"2": {"kind": "kill"}}}):
-            chaotic = parallel_crashsim_t(
-                temporal, 0, self.QUERY, params=PARAMS64, seed=77, workers=2
-            )
-        assert not chaotic.degraded
-        assert chaotic.survivors == clean.survivors
-        assert chaotic.history == clean.history
-
-    def test_snapshot_stall_truncates_to_prefix(
-        self, chaos_graph, pool_available
-    ):
-        temporal = self._temporal(chaos_graph)
-        clean = parallel_crashsim_t(
-            temporal, 0, self.QUERY, params=PARAMS64, seed=77, workers=2
-        )
-        plan = {"snapshot": {"3": {"kind": "delay", "seconds": 10}}}
-        with faults.active(plan):
-            with pytest.warns(DegradedResultWarning):
-                result = parallel_crashsim_t(
-                    temporal,
-                    0,
-                    self.QUERY,
-                    params=PARAMS64,
-                    seed=77,
-                    workers=2,
-                    deadline=4.0,
-                )
-        assert result.degraded
-        # Only the completed snapshot prefix [0, 3) is usable; every
-        # replayed transition matches the clean run bit-for-bit.
-        assert 1 <= len(result.history) <= 3
-        assert result.history == clean.history[: len(result.history)]
-        assert result.stats.snapshots_processed == len(result.history)
-
-
 class TestSessionRollback:
     def test_mid_push_failure_rolls_back_and_retry_is_bit_exact(
         self, chaos_graph
@@ -428,16 +376,18 @@ class TestSessionRollback:
         session.push_snapshot(snapshots[0])
         before = (session.survivors, session.scores, session.snapshots_seen)
         assert before[0], "chaos setup: Ω must be non-empty after snapshot 0"
+        stats_before = session.stats.as_dict()
 
         with faults.active({"advance": {"2": {"kind": "raise"}}}):
             with pytest.raises(InjectedFault):
                 session.push_snapshot(snapshots[1])
-            # The failed push left no trace: same Ω, scores, counter.
+            # The failed push left no trace: same Ω, scores, counters.
             assert (
                 session.survivors,
                 session.scores,
                 session.snapshots_seen,
             ) == before
+            assert session.stats.as_dict() == stats_before
             # The fault is spent (times=1), so the retry succeeds — still
             # inside the plan — and, thanks to the RNG rollback, lands on
             # the exact bits an undisturbed session produces.
