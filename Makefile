@@ -42,10 +42,12 @@ bench:
 bench-tree:
 	$(PYTHON) benchmarks/bench_tree.py
 
-# Fused walk–crash kernel vs the generator accumulator; writes
-# benchmarks/BENCH_kernel.json and fails below the 2x / 1.5x targets.
+# Fused walk–crash kernel vs the generator accumulator; writes row
+# $(BENCH_LABEL) of benchmarks/BENCH_kernel.json (other rows are kept)
+# and fails below the 2x / 1.5x targets.
+BENCH_LABEL ?= current
 bench-kernel:
-	$(PYTHON) benchmarks/bench_kernel.py
+	$(PYTHON) benchmarks/bench_kernel.py --label "$(BENCH_LABEL)"
 
 # Parallel tiers (process + thread) vs serial on the 50k graph; writes
 # benchmarks/BENCH_parallel.json and fails if any (mode, workers) row

@@ -4,11 +4,15 @@ Three entry points:
 
 * ``pytest benchmarks/bench_kernel.py --benchmark-only`` — records the
   fused and generator accumulators on the 50k-node power-law graph;
-* ``python benchmarks/bench_kernel.py`` — runs the full sweep once, prints
-  tables, writes machine-readable ``BENCH_kernel.json`` next to this file,
-  and exits non-zero if the acceptance targets are missed (fused ≥ 2×
-  the generator path unweighted, alias sampling ≥ 1.5× on the weighted
-  graph);
+* ``python benchmarks/bench_kernel.py [--label NAME]`` — runs the full
+  sweep once, prints tables, stores it as row ``NAME`` (default
+  ``"current"``) of machine-readable ``BENCH_kernel.json`` next to this
+  file, keeping the file's other rows, and exits non-zero if the
+  acceptance targets are missed (fused ≥ 2× the generator path
+  unweighted, alias sampling ≥ 1.5× on the weighted graph).  Each row
+  records the machine it ran on (effective CPUs, JIT on/off, numpy
+  version).  A before/after pair runs this one script twice on one
+  machine, once with ``PYTHONPATH`` at the older source tree;
 * ``run_all()`` — the JSON payload, for the CI perf-smoke harness.
 
 The baseline is :func:`accumulate_crash_totals_reference` — the seed's
@@ -20,9 +24,12 @@ different (exactly distributed) stream and is verified statistically.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import pathlib
+import platform
 import time
 from typing import Dict
 
@@ -245,12 +252,41 @@ def test_bench_reference_accumulate(benchmark, kernel_graph):
     )
 
 
-def main() -> int:
+def machine() -> Dict[str, object]:
+    """What a timing row depends on beyond the code: CPUs, JIT, numpy."""
+    return {
+        "effective_cpus": len(os.sched_getaffinity(0)),
+        "jit_active": WalkCrashKernel(make_bench_graph(64), BENCH_C).use_jit,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def store_row(label: str, payload: Dict[str, object]) -> None:
+    """Write ``payload`` as row ``label``, keeping rows on the same graph."""
+    rows = {}
+    if OUTPUT.exists():
+        previous = json.loads(OUTPUT.read_text())
+        if previous.get("graph") == payload["graph"]:
+            rows = previous.get("rows", {})
+    rows[label] = {key: value for key, value in payload.items() if key != "graph"}
+    document = {"graph": payload["graph"], "rows": rows}
+    OUTPUT.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--label", default="current", help="row name in BENCH_kernel.json"
+    )
+    args = parser.parse_args(argv)
     print(
         f"graph: preferential_attachment(n={BENCH_NODES}, m={BENCH_M}, "
         f"seed={BENCH_SEED}); l_max={BENCH_L_MAX}, {N_TRIALS} trials"
     )
     payload = run_all()
+    payload["machine"] = machine()
+    print(f"machine: {payload['machine']}")
     for label in ("unweighted", "weighted_cdf", "weighted_alias"):
         row = payload[label]
         print(
@@ -264,8 +300,8 @@ def main() -> int:
         f"reference {multi['reference_seconds']}s  "
         f"fused {multi['fused_seconds']}s  ({multi['speedup']}x)"
     )
-    OUTPUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {OUTPUT}")
+    store_row(args.label, payload)
+    print(f"wrote row {args.label!r} of {OUTPUT}")
 
     failures = []
     if payload["unweighted"]["speedup"] < 2.0:

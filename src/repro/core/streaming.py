@@ -181,9 +181,11 @@ class TemporalQuerySession:
             return self._start(graph)
         if graph.num_nodes != self._graph.num_nodes:
             raise TemporalError("snapshot streams share one node set")
+        directed = graph.directed
         delta = EdgeDelta(
-            added=_canonical_arcs(graph.arcs_not_in(self._graph), graph.directed),
-            removed=_canonical_arcs(self._graph.arcs_not_in(graph), graph.directed),
+            added=_canonical_arcs(graph.arcs_not_in(self._graph), directed),
+            removed=_canonical_arcs(self._graph.arcs_not_in(graph), directed),
+            reweighted=_canonical_arcs(graph.reweighted_arcs(self._graph), directed),
         )
         return self._advance(graph, delta)
 
@@ -259,10 +261,13 @@ class TemporalQuerySession:
             self._graph = graph
             self.snapshots_seen = next_seen
             return self.survivors
+        # A reweighted arc changes its head's in-block as an added one does:
+        # both reach the tree updates as changed heads.
+        grown = delta.added | delta.reweighted
         tree_cur = revreach_update(
             self._tree,
             graph,
-            delta.added,
+            grown,
             delta.removed,
             directed=graph.directed,
         )
@@ -282,7 +287,7 @@ class TemporalQuerySession:
                 and delta.num_changed < len(self._omega) * n_r / edge_count
             ):
                 delta_pruned = True
-                changed = set(delta.added) | set(delta.removed)
+                changed = delta.changed
                 affected = affected_area(
                     graph, changed, self.params.l_max
                 ) | affected_area(self._graph, changed, self.params.l_max)
@@ -313,7 +318,7 @@ class TemporalQuerySession:
                         prev_tree,
                         next_seen,
                         graph,
-                        delta.added,
+                        grown,
                         delta.removed,
                         directed=graph.directed,
                     )

@@ -134,6 +134,13 @@ def _csr_keys(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return rows + indices
 
 
+def _arc_weights(graph: "DiGraph") -> np.ndarray:
+    """Weights aligned with the out-CSR; 1.0 per arc on an unweighted graph."""
+    if graph._out_weights is None:
+        return np.ones(graph._out_indices.size, dtype=np.float64)
+    return graph._out_weights
+
+
 def _transpose_keys(n: int, keys: np.ndarray) -> np.ndarray:
     """Sorted keys of the reversed arcs (``s * n + t`` becomes ``t * n + s``)."""
     rows, cols = np.divmod(keys, n)
@@ -682,6 +689,33 @@ class DiGraph:
             assume_unique=True,
         )
         sources, targets = np.divmod(keys, n)
+        return frozenset(zip(sources.tolist(), targets.tolist()))
+
+    def reweighted_arcs(self, other: "DiGraph") -> frozenset:
+        """Arcs present in both graphs whose weight differs.
+
+        An unweighted graph weighs every arc 1.0.  Together with
+        :meth:`arcs_not_in` in both directions this is the whole
+        difference between two weighted snapshots.
+
+        >>> old = DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 2.0])
+        >>> new = DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 5.0])
+        >>> sorted(new.reweighted_arcs(old))
+        [(1, 2)]
+        """
+        n = self.num_nodes
+        if other.num_nodes != n:
+            raise GraphError("reweighted_arcs compares graphs over one node set")
+        if self._out_weights is None and other._out_weights is None:
+            return frozenset()
+        keys, mine, theirs = np.intersect1d(
+            _csr_keys(n, self._out_indptr, self._out_indices),
+            _csr_keys(n, other._out_indptr, other._out_indices),
+            assume_unique=True,
+            return_indices=True,
+        )
+        changed = keys[_arc_weights(self)[mine] != _arc_weights(other)[theirs]]
+        sources, targets = np.divmod(changed, n)
         return frozenset(zip(sources.tolist(), targets.tolist()))
 
     def arc_sources(self) -> np.ndarray:

@@ -31,20 +31,28 @@ Edge = Tuple[int, int]
 class EdgeDelta:
     """The edge difference between two adjacent snapshots.
 
-    ``added`` and ``removed`` are disjoint sets of canonical arcs
-    (for undirected graphs, the pair with the smaller id first).
+    ``added``, ``removed`` and ``reweighted`` are disjoint sets of
+    canonical arcs (for undirected graphs, the pair with the smaller id
+    first).  ``reweighted`` holds arcs present in both snapshots whose
+    weight changed; edge-set deltas leave it empty.
     """
 
     added: frozenset
     removed: frozenset
+    reweighted: frozenset = frozenset()
 
     @property
     def num_changed(self) -> int:
         """``|E(Δ)|`` — total changed edges, as used by delta pruning."""
-        return len(self.added) + len(self.removed)
+        return len(self.added) + len(self.removed) + len(self.reweighted)
+
+    @property
+    def changed(self) -> frozenset:
+        """Every arc whose presence or weight changed."""
+        return self.added | self.removed | self.reweighted
 
     def is_empty(self) -> bool:
-        return not self.added and not self.removed
+        return not self.added and not self.removed and not self.reweighted
 
     @classmethod
     def between(cls, old_edges: Set[Edge], new_edges: Set[Edge]) -> "EdgeDelta":

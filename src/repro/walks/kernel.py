@@ -12,7 +12,22 @@ walks through all ``l_max`` steps and folds the ``U[step, position]`` crash
 contributions straight into per-candidate totals, using preallocated
 ping-pong buffers that are compacted in place and **reused across chunks,
 trials, and calls** — no tile, no per-step slicing garbage, one
-``mask.nonzero()`` scan per step feeding ``np.take(..., out=...)`` gathers.
+``mask.nonzero()`` scan per step feeding ``np.take(..., out=...,
+mode="clip")`` gathers.  The four ``accumulate*`` entry points are one
+chunk/step/fold loop (``_trials``) with four result shapes.
+
+Gathers without a bounds check
+------------------------------
+With the default ``mode="raise"`` numpy buffers every ``take`` into an
+``out`` array (gather into a temporary, then copy); ``mode="clip"``
+writes straight through, about twice as fast per element.  Clipping
+would silently clamp a bad index, so nothing from outside the kernel
+reaches a gather unchecked: each entry point range-checks ``targets``
+against ``[0, num_nodes)`` and :class:`_TreeRows` refuses a dense tree
+whose rows are not ``num_nodes`` long, both raising ``IndexError``
+before any buffer is touched.  Every other index is in range by
+construction (CSR in-neighbours, ``nonzero()`` positions, offsets
+clamped into a non-empty block); each gather site says which.
 
 Byte-identity contract
 ----------------------
@@ -120,19 +135,26 @@ class _TreeRows:
         if isinstance(tree, np.ndarray):
             matrix = tree
             self._gather = lambda step, positions: matrix[step, positions]
-            top = min(l_max, matrix.shape[0] - 1)
-            self._rows = [np.ascontiguousarray(matrix[s]) for s in range(top + 1)]
-            return
-        self._gather = tree.gather
-        if hasattr(tree, "level_arrays"):
-            if (l_max + 1) * num_nodes * 8 <= budget:
-                self._rows = [None] * (l_max + 1)
-                self._level_arrays = tree.level_arrays
-        elif hasattr(tree, "matrix"):
+        else:
+            self._gather = tree.gather
+            if hasattr(tree, "level_arrays"):
+                if (l_max + 1) * num_nodes * 8 <= budget:
+                    self._rows = [None] * (l_max + 1)
+                    self._level_arrays = tree.level_arrays
+                return
+            if not hasattr(tree, "matrix"):
+                return
             # Legacy dense tree: the matrix already exists, rows are free.
             matrix = tree.matrix
-            top = min(l_max, matrix.shape[0] - 1)
-            self._rows = [np.ascontiguousarray(matrix[s]) for s in range(top + 1)]
+        # The kernel's row gathers skip numpy's bounds check, so a dense
+        # row must span exactly the node range the walk positions live in.
+        if matrix.ndim != 2 or matrix.shape[1] != num_nodes:
+            raise IndexError(
+                f"dense tree of shape {matrix.shape} does not have one "
+                f"column per node of a {num_nodes}-node graph"
+            )
+        top = min(l_max, matrix.shape[0] - 1)
+        self._rows = [np.ascontiguousarray(matrix[s]) for s in range(top + 1)]
 
     def row(self, step: int) -> Optional[np.ndarray]:
         if self._rows is None or step >= len(self._rows):
@@ -286,8 +308,8 @@ class WalkCrashKernel:
             np.empty(cap, dtype=np.int64),  # 3 own_b: ping-pong partner
             np.empty(cap, dtype=np.float64),  # 4 draws: step uniforms
             np.empty(cap, dtype=np.float64),  # 5 draws_b: compacted draws
-            np.empty(cap, dtype=np.int64),  # 6 int scratch (degrees, lo)
-            np.empty(cap, dtype=np.int64),  # 7 int scratch (offsets, flat)
+            np.empty(cap, dtype=np.int64),  # 6 int scratch (degrees, flat)
+            np.empty(cap, dtype=np.int64),  # 7 int scratch (compacted deg, lo)
             np.empty(cap, dtype=np.int64),  # 8 int scratch (hi, alias)
             np.empty(cap, dtype=bool),  # 9 mask
             np.empty(cap, dtype=np.float64),  # 10 float scratch
@@ -329,7 +351,7 @@ class WalkCrashKernel:
         return self._moments_ids, self._moments_tot
 
     # ------------------------------------------------------------------
-    # Single-tree accumulation (CrashSim Algorithm 1 step 3)
+    # The four entry points: one trial loop, four result shapes
     # ------------------------------------------------------------------
 
     def accumulate(
@@ -344,79 +366,16 @@ class WalkCrashKernel:
     ) -> np.ndarray:
         """``totals[i] = Σ_trials Σ_step U[step, W(targets[i])_step]``.
 
-        Drop-in replacement for the generator-driven
+        CrashSim Algorithm 1 step 3 for one source tree.  Drop-in
+        replacement for the generator-driven
         ``accumulate_crash_totals_reference``: identical RNG stream
-        consumption, bit-identical totals on the default sampler.
+        consumption, bit-identical totals on the default sampler.  The only
+        entry point that may step through the JIT fold.
         """
-        rng = ensure_rng(rng)
-        targets = np.asarray(targets, dtype=np.int64)
-        k = targets.size
-        totals = np.zeros(k, dtype=np.float64)
-        if k == 0 or n_trials <= 0:
-            return totals
-        rows = _TreeRows(tree, self.graph.num_nodes, l_max, self.dense_row_budget)
-        trials_per_chunk = max(1, walk_chunk // k)
-        self._ensure_capacity(min(trials_per_chunk, n_trials) * k)
-        buffers = self._buffers
-        pos_a, own_a = buffers[0], buffers[2]
-        own_b = buffers[3]
-        draws = buffers[4]
-        contrib = buffers[13]
-        cand = np.arange(k, dtype=np.int64)
-        jit_step = self._jit_step
-        scratch = np.empty(k, dtype=np.float64) if jit_step is not None else None
-        steps_local = 0
-        crash_local = 0
-        row_hits = 0
-        row_misses = 0
-        remaining = n_trials
-        with obs.span("walk_kernel", trials=n_trials, candidates=k):
-            while remaining > 0:
-                trials = min(trials_per_chunk, remaining)
-                remaining -= trials
-                alive = trials * k
-                pos_a[:alive].reshape(trials, k)[:] = targets
-                own_a[:alive].reshape(trials, k)[:] = cand
-                cur_own, alt_own = own_a, own_b
-                for step in range(1, l_max + 1):
-                    if alive == 0:
-                        break
-                    rng.random(out=draws[:alive])
-                    self.steps_processed += alive
-                    steps_local += alive
-                    row = rows.row(step)
-                    if jit_step is not None and row is not None:
-                        row_hits += 1
-                        alive = jit_step(
-                            pos_a, cur_own, draws, alive, row, scratch, totals
-                        )
-                        crash_local += alive
-                        continue
-                    alive = self._step_numpy(cur_own, alt_own, alive)
-                    if alive == 0:
-                        break
-                    cur_own, alt_own = alt_own, cur_own
-                    crash_local += alive
-                    # Counted at the read site so the counters reconcile
-                    # exactly with the crash reads actually performed.
-                    if row is not None:
-                        row_hits += 1
-                        np.take(row, pos_a[:alive], out=contrib[:alive])
-                        crash = contrib[:alive]
-                    else:
-                        row_misses += 1
-                        crash = rows.gather(step, pos_a[:alive])
-                    totals += np.bincount(cur_own[:alive], weights=crash, minlength=k)
-        _M_WALKS.inc(n_trials * k)
-        _M_STEPS.inc(steps_local)
-        _M_CRASH_READS.inc(crash_local)
-        _M_ROW_HITS.inc(row_hits)
-        _M_ROW_MISSES.inc(row_misses)
-        return totals
-
-    # ------------------------------------------------------------------
-    # Multi-source accumulation: one walk stream, q crash gathers
-    # ------------------------------------------------------------------
+        return self._trials(
+            (tree,), targets, n_trials, l_max, rng, walk_chunk,
+            multi=False, moments=False,
+        )
 
     def accumulate_multi(
         self,
@@ -434,114 +393,13 @@ class WalkCrashKernel:
         ``bincount`` over combined ``source · k + candidate`` keys — bit-
         identical to ``q`` per-row bincounts (each bin's occurrence order is
         preserved; bins are independent), but one pass instead of ``q``.
+        Row ``i`` equals :meth:`accumulate` on ``trees[i]`` with the same
+        seed.
         """
-        rng = ensure_rng(rng)
-        targets = np.asarray(targets, dtype=np.int64)
-        k = targets.size
-        q = len(trees)
-        totals = np.zeros((q, k), dtype=np.float64)
-        if k == 0 or n_trials <= 0 or q == 0:
-            return totals
-        all_rows = [
-            _TreeRows(tree, self.graph.num_nodes, l_max, self.dense_row_budget)
-            for tree in trees
-        ]
-        trials_per_chunk = max(1, walk_chunk // k)
-        cap = min(trials_per_chunk, n_trials) * k
-        self._ensure_capacity(cap)
-        buffers = self._buffers
-        pos_a, own_a = buffers[0], buffers[2]
-        own_b = buffers[3]
-        draws = buffers[4]
-        keys, crash_weights = self._ensure_multi_scratch(q * cap)
-        flat_totals = totals.reshape(-1)
-        cand = np.arange(k, dtype=np.int64)
-        steps_local = 0
-        crash_local = 0
-        row_hits = 0
-        row_misses = 0
-        remaining = n_trials
-        with obs.span("walk_kernel", trials=n_trials, candidates=k, sources=q):
-            while remaining > 0:
-                trials = min(trials_per_chunk, remaining)
-                remaining -= trials
-                alive = trials * k
-                pos_a[:alive].reshape(trials, k)[:] = targets
-                own_a[:alive].reshape(trials, k)[:] = cand
-                cur_own, alt_own = own_a, own_b
-                for step in range(1, l_max + 1):
-                    if alive == 0:
-                        break
-                    rng.random(out=draws[:alive])
-                    self.steps_processed += alive
-                    steps_local += alive
-                    alive = self._step_numpy(cur_own, alt_own, alive)
-                    if alive == 0:
-                        break
-                    cur_own, alt_own = alt_own, cur_own
-                    crash_local += q * alive
-                    for index, rows in enumerate(all_rows):
-                        lo = index * alive
-                        hi = lo + alive
-                        row = rows.row(step)
-                        if row is not None:
-                            row_hits += 1
-                            np.take(row, pos_a[:alive], out=crash_weights[lo:hi])
-                        else:
-                            row_misses += 1
-                            crash_weights[lo:hi] = rows.gather(step, pos_a[:alive])
-                        np.add(cur_own[:alive], index * k, out=keys[lo:hi])
-                    flat_totals += np.bincount(
-                        keys[: q * alive],
-                        weights=crash_weights[: q * alive],
-                        minlength=q * k,
-                    )
-        _M_WALKS.inc(n_trials * k)
-        _M_STEPS.inc(steps_local)
-        _M_CRASH_READS.inc(crash_local)
-        _M_ROW_HITS.inc(row_hits)
-        _M_ROW_MISSES.inc(row_misses)
-        return totals
-
-    # ------------------------------------------------------------------
-    # Moments accumulation (adaptive sampling): totals + sum of squares
-    # ------------------------------------------------------------------
-
-    def _retire_hubs(
-        self, hub_cache, step: int, cur_own: np.ndarray, alive: int,
-        walk_tot: np.ndarray, offsets: Optional[np.ndarray] = None,
-    ) -> int:
-        """Retire walks sitting on a cached hub; returns the survivor count.
-
-        A walk whose current position is one of ``hub_cache.hubs`` folds the
-        precomputed expected remainder ``tails[step, hub]`` into its running
-        total and stops walking — unbiased (the tail is the conditional
-        expectation of exactly what the walk would have collected), strictly
-        variance-reducing, and it shrinks the live set on the graphs where
-        walks pile onto hubs.  ``U[step, position]`` for the current step
-        must already be folded before calling.  Owners are per-chunk-unique
-        walk ids, so the fold is a plain fancy-indexed add.  ``offsets``
-        (multi path) folds the same tail into each source's total row.
-        """
-        pos_a = self._buffers[0]
-        hub_idx = hub_cache.lookup[pos_a[:alive]]
-        at_hub = hub_idx >= 0
-        hit = at_hub.nonzero()[0]
-        if hit.size == 0:
-            return alive
-        tails = hub_cache.tails[step, hub_idx[hit]]
-        owners = cur_own[:alive]
-        if offsets is None:
-            walk_tot[owners[hit]] += tails
-        else:
-            for offset in offsets:
-                walk_tot[offset + owners[hit]] += tails
-        keep = (~at_hub).nonzero()[0]
-        n_new = keep.size
-        if n_new:
-            pos_a[:n_new] = pos_a[:alive][keep]
-            cur_own[:n_new] = owners[keep]
-        return n_new
+        return self._trials(
+            trees, targets, n_trials, l_max, rng, walk_chunk,
+            multi=True, moments=False,
+        )
 
     def accumulate_moments(
         self,
@@ -575,78 +433,10 @@ class WalkCrashKernel:
         walks at cached hubs; its resident bytes are charged against
         ``dense_row_budget`` before the dense ``U``-row cache sizes itself.
         """
-        rng = ensure_rng(rng)
-        targets = np.asarray(targets, dtype=np.int64)
-        k = targets.size
-        totals = np.zeros(k, dtype=np.float64)
-        sumsq = np.zeros(k, dtype=np.float64)
-        if k == 0 or n_trials <= 0:
-            return totals, sumsq
-        budget = self.dense_row_budget
-        if hub_cache is not None:
-            budget = max(0, budget - hub_cache.nbytes)
-        rows = _TreeRows(tree, self.graph.num_nodes, l_max, budget)
-        trials_per_chunk = max(1, walk_chunk // k)
-        cap = min(trials_per_chunk, n_trials) * k
-        self._ensure_capacity(cap)
-        walk_ids, walk_tot = self._ensure_moments_scratch(cap, cap)
-        buffers = self._buffers
-        pos_a, own_a = buffers[0], buffers[2]
-        own_b = buffers[3]
-        draws = buffers[4]
-        contrib = buffers[13]
-        steps_local = 0
-        crash_local = 0
-        row_hits = 0
-        row_misses = 0
-        remaining = n_trials
-        with obs.span("walk_kernel_moments", trials=n_trials, candidates=k):
-            while remaining > 0:
-                trials = min(trials_per_chunk, remaining)
-                remaining -= trials
-                chunk = trials * k
-                alive = chunk
-                pos_a[:alive].reshape(trials, k)[:] = targets
-                own_a[:alive] = walk_ids[:alive]
-                walk_tot[:chunk] = 0.0
-                cur_own, alt_own = own_a, own_b
-                if hub_cache is not None:
-                    # Candidates that *are* hubs retire at step 0 with the
-                    # exact expectation — zero-variance estimates.
-                    alive = self._retire_hubs(hub_cache, 0, cur_own, alive, walk_tot)
-                for step in range(1, l_max + 1):
-                    if alive == 0:
-                        break
-                    rng.random(out=draws[:alive])
-                    self.steps_processed += alive
-                    steps_local += alive
-                    alive = self._step_numpy(cur_own, alt_own, alive)
-                    if alive == 0:
-                        break
-                    cur_own, alt_own = alt_own, cur_own
-                    crash_local += alive
-                    row = rows.row(step)
-                    if row is not None:
-                        row_hits += 1
-                        np.take(row, pos_a[:alive], out=contrib[:alive])
-                        crash = contrib[:alive]
-                    else:
-                        row_misses += 1
-                        crash = rows.gather(step, pos_a[:alive])
-                    walk_tot[cur_own[:alive]] += crash
-                    if hub_cache is not None and step < l_max:
-                        alive = self._retire_hubs(
-                            hub_cache, step, cur_own, alive, walk_tot
-                        )
-                wt = walk_tot[:chunk].reshape(trials, k)
-                totals += wt.sum(axis=0)
-                sumsq += np.square(wt).sum(axis=0)
-        _M_WALKS.inc(n_trials * k)
-        _M_STEPS.inc(steps_local)
-        _M_CRASH_READS.inc(crash_local)
-        _M_ROW_HITS.inc(row_hits)
-        _M_ROW_MISSES.inc(row_misses)
-        return totals, sumsq
+        return self._trials(
+            (tree,), targets, n_trials, l_max, rng, walk_chunk,
+            multi=False, moments=True, hub_cache=hub_cache,
+        )
 
     def accumulate_multi_moments(
         self,
@@ -666,81 +456,216 @@ class WalkCrashKernel:
         adaptive stopper exploits: per-source estimates move together, and
         the stopper's per-``(source, candidate)`` variances are measured on
         the same walks, so one walk budget serves all ``q`` stop decisions.
-        No hub cache here: tails are per-tree, and ``q`` dense tail tables
-        would crowd out the dense-row budget that serves all trees.
+        Row ``i`` equals :meth:`accumulate_moments` on ``trees[i]`` without
+        a hub cache.  No hub cache here: tails are per-tree, and ``q``
+        dense tail tables would crowd out the dense-row budget that serves
+        all trees.
+        """
+        return self._trials(
+            trees, targets, n_trials, l_max, rng, walk_chunk,
+            multi=True, moments=True,
+        )
+
+    def _trials(
+        self, trees, targets, n_trials, l_max, rng, walk_chunk,
+        *, multi: bool, moments: bool, hub_cache=None,
+    ):
+        """The chunk/step/fold loop behind every ``accumulate*`` name.
+
+        Walks ``n_trials`` √c-walks from every target in chunks of
+        ``trials_per_chunk = max(1, walk_chunk // k)`` trials and folds each
+        step's crash reads ``U_i[step, position]`` for every tree ``i``:
+
+        * plain (``moments=False``): walks are tagged with their candidate
+          and each step folds by ``bincount`` — over combined
+          ``i · k + candidate`` keys when there are several trees;
+        * ``moments=True``: walks are tagged with per-chunk walk ids, each
+          walk's running total is kept per tree, and the chunk epilogue
+          folds ``Σ x`` and ``Σ x²`` per candidate.
+
+        ``multi`` picks the ``(q, k)`` result shape and the span's
+        ``sources`` tag; only the single-tree plain call may use the JIT
+        fold.  :meth:`_fold_trials` range-checks every target, and
+        :class:`_TreeRows` every dense tree, before any buffer is touched:
+        the gathers run unchecked.
         """
         rng = ensure_rng(rng)
         targets = np.asarray(targets, dtype=np.int64)
         k = targets.size
         q = len(trees)
-        totals = np.zeros((q, k), dtype=np.float64)
-        sumsq = np.zeros((q, k), dtype=np.float64)
-        if k == 0 or n_trials <= 0 or q == 0:
-            return totals, sumsq
-        all_rows = [
-            _TreeRows(tree, self.graph.num_nodes, l_max, self.dense_row_budget)
-            for tree in trees
-        ]
+        totals = np.zeros(q * k, dtype=np.float64)
+        sumsq = np.zeros(q * k, dtype=np.float64) if moments else None
+        if k and n_trials > 0 and q:
+            self._fold_trials(
+                trees, targets, n_trials, l_max, rng, walk_chunk,
+                totals, sumsq, multi, hub_cache,
+            )
+        if multi:
+            totals = totals.reshape(q, k)
+            sumsq = sumsq.reshape(q, k) if moments else None
+        return (totals, sumsq) if moments else totals
+
+    def _fold_trials(
+        self, trees, targets, n_trials, l_max, rng, walk_chunk,
+        totals, sumsq, multi, hub_cache,
+    ) -> None:
+        """Add the trials' folds into flat ``q·k`` ``totals`` (and ``sumsq``)."""
+        num_nodes = self.graph.num_nodes
+        low, high = int(targets.min()), int(targets.max())
+        if low < 0 or high >= num_nodes:
+            bad = low if low < 0 else high
+            raise IndexError(
+                f"target {bad} is out of bounds for a {num_nodes}-node graph"
+            )
+        budget = self.dense_row_budget
+        if hub_cache is not None:
+            budget = max(0, budget - hub_cache.nbytes)
+        all_rows = [_TreeRows(tree, num_nodes, l_max, budget) for tree in trees]
+        moments = sumsq is not None
+        k = targets.size
+        q = len(trees)
         trials_per_chunk = max(1, walk_chunk // k)
         cap = min(trials_per_chunk, n_trials) * k
         self._ensure_capacity(cap)
-        walk_ids, walk_tot = self._ensure_moments_scratch(cap, q * cap)
         buffers = self._buffers
-        pos_a, own_a = buffers[0], buffers[2]
-        own_b = buffers[3]
-        draws = buffers[4]
-        contrib = buffers[13]
+        pos_a, own_a, own_b, draws = buffers[0], buffers[2], buffers[3], buffers[4]
+        # One tree's crash reads at a time land in the contributions buffer;
+        # a plain multi-tree fold stages all q before its one bincount.
+        keys = None
+        crash_buf = buffers[13]
+        if moments:
+            walk_ids, walk_tot = self._ensure_moments_scratch(cap, q * cap)
+        elif q > 1:
+            keys, crash_buf = self._ensure_multi_scratch(q * cap)
+        cand = np.arange(k, dtype=np.int64)
+        jit_step = None if multi or moments else self._jit_step
+        scratch = np.empty(k, dtype=np.float64) if jit_step is not None else None
         steps_local = 0
         crash_local = 0
         row_hits = 0
         row_misses = 0
         remaining = n_trials
-        with obs.span(
-            "walk_kernel_moments", trials=n_trials, candidates=k, sources=q
-        ):
+        span = "walk_kernel_moments" if moments else "walk_kernel"
+        meta = {"sources": q} if multi else {}
+        with obs.span(span, trials=n_trials, candidates=k, **meta):
             while remaining > 0:
                 trials = min(trials_per_chunk, remaining)
                 remaining -= trials
                 chunk = trials * k
                 alive = chunk
-                pos_a[:alive].reshape(trials, k)[:] = targets
-                own_a[:alive] = walk_ids[:alive]
-                walk_tot[: q * chunk] = 0.0
+                pos_a[:chunk].reshape(trials, k)[:] = targets
+                if moments:
+                    own_a[:chunk] = walk_ids[:chunk]
+                    walk_tot[: q * chunk] = 0.0
+                else:
+                    own_a[:chunk].reshape(trials, k)[:] = cand
                 cur_own, alt_own = own_a, own_b
+                if hub_cache is not None:
+                    # Candidates that *are* hubs retire at step 0 with the
+                    # exact expectation — zero-variance estimates.
+                    alive = self._retire_hubs(hub_cache, 0, cur_own, alive, walk_tot)
                 for step in range(1, l_max + 1):
                     if alive == 0:
                         break
                     rng.random(out=draws[:alive])
                     self.steps_processed += alive
                     steps_local += alive
+                    if jit_step is not None:
+                        row = all_rows[0].row(step)
+                        if row is not None:
+                            row_hits += 1
+                            alive = jit_step(
+                                pos_a, cur_own, draws, alive, row, scratch, totals
+                            )
+                            crash_local += alive
+                            continue
                     alive = self._step_numpy(cur_own, alt_own, alive)
                     if alive == 0:
                         break
                     cur_own, alt_own = alt_own, cur_own
                     crash_local += q * alive
+                    positions = pos_a[:alive]
                     owners = cur_own[:alive]
                     for index, rows in enumerate(all_rows):
+                        lo = 0 if moments else index * alive
+                        crash = crash_buf[lo : lo + alive]
+                        # Counted at the read site so the counters reconcile
+                        # exactly with the crash reads actually performed.
                         row = rows.row(step)
                         if row is not None:
                             row_hits += 1
-                            np.take(row, pos_a[:alive], out=contrib[:alive])
-                            crash = contrib[:alive]
+                            # In range: positions are CSR in-neighbours in
+                            # [0, n) and _TreeRows holds rows of length n.
+                            np.take(row, positions, out=crash, mode="clip")
                         else:
                             row_misses += 1
-                            crash = rows.gather(step, pos_a[:alive])
-                        seg = walk_tot[index * chunk : (index + 1) * chunk]
-                        seg[owners] += crash
-                for index in range(q):
-                    wt = walk_tot[index * chunk : (index + 1) * chunk]
-                    wt = wt.reshape(trials, k)
-                    totals[index] += wt.sum(axis=0)
-                    sumsq[index] += np.square(wt).sum(axis=0)
+                            crash[:] = rows.gather(step, positions)
+                        if moments:
+                            tot = walk_tot[index * chunk : (index + 1) * chunk]
+                            tot[owners] += crash
+                        elif keys is not None:
+                            np.add(owners, index * k, out=keys[lo : lo + alive])
+                    if moments:
+                        if hub_cache is not None and step < l_max:
+                            alive = self._retire_hubs(
+                                hub_cache, step, cur_own, alive, walk_tot
+                            )
+                    elif keys is None:
+                        totals += np.bincount(
+                            owners, weights=crash_buf[:alive], minlength=k
+                        )
+                    else:
+                        totals += np.bincount(
+                            keys[: q * alive],
+                            weights=crash_buf[: q * alive],
+                            minlength=q * k,
+                        )
+                if moments:
+                    for index in range(q):
+                        wt = walk_tot[index * chunk : (index + 1) * chunk]
+                        wt = wt.reshape(trials, k)
+                        totals[index * k : (index + 1) * k] += wt.sum(axis=0)
+                        sumsq[index * k : (index + 1) * k] += np.square(wt).sum(axis=0)
         _M_WALKS.inc(n_trials * k)
         _M_STEPS.inc(steps_local)
         _M_CRASH_READS.inc(crash_local)
         _M_ROW_HITS.inc(row_hits)
         _M_ROW_MISSES.inc(row_misses)
-        return totals, sumsq
+
+    # ------------------------------------------------------------------
+    # Hub retirement (adaptive sampling)
+    # ------------------------------------------------------------------
+
+    def _retire_hubs(
+        self, hub_cache, step: int, cur_own: np.ndarray, alive: int,
+        walk_tot: np.ndarray,
+    ) -> int:
+        """Retire walks sitting on a cached hub; returns the survivor count.
+
+        A walk whose current position is one of ``hub_cache.hubs`` folds the
+        precomputed expected remainder ``tails[step, hub]`` into its running
+        total and stops walking — unbiased (the tail is the conditional
+        expectation of exactly what the walk would have collected), strictly
+        variance-reducing, and it shrinks the live set on the graphs where
+        walks pile onto hubs.  ``U[step, position]`` for the current step
+        must already be folded before calling.  Owners are per-chunk-unique
+        walk ids, so the fold is a plain fancy-indexed add.
+        """
+        pos_a = self._buffers[0]
+        hub_idx = hub_cache.lookup[pos_a[:alive]]
+        at_hub = hub_idx >= 0
+        hit = at_hub.nonzero()[0]
+        if hit.size == 0:
+            return alive
+        tails = hub_cache.tails[step, hub_idx[hit]]
+        owners = cur_own[:alive]
+        walk_tot[owners[hit]] += tails
+        keep = (~at_hub).nonzero()[0]
+        n_new = keep.size
+        if n_new:
+            pos_a[:n_new] = pos_a[:alive][keep]
+            cur_own[:n_new] = owners[keep]
+        return n_new
 
     # ------------------------------------------------------------------
     # One fused step (NumPy): coin + compact + move, in place
@@ -762,9 +687,14 @@ class WalkCrashKernel:
         mask = b[9]
         floats, floats2 = b[10], b[11]
         idx = b[12]
+        # Every gather below is unbuffered (mode="clip"): with the default
+        # "raise", numpy gathers into a temporary and copies it out.  Each
+        # site notes why its index is already in range.  Positions are
+        # entry-checked targets or CSR in-neighbours, all in [0, n).
         d = draws[:alive]
         np.less(d, self.sqrt_c, out=mask[:alive])
-        np.take(self._degrees, pos_a[:alive], out=ints[:alive])
+        # In range: positions in [0, n); degrees has n entries.
+        np.take(self._degrees, pos_a[:alive], out=ints[:alive], mode="clip")
         m = mask[:alive]
         m &= ints[:alive] > 0
         keep = m.nonzero()[0]
@@ -772,36 +702,43 @@ class WalkCrashKernel:
         if n_new == 0:
             return 0
         # One nonzero scan feeds all four gathers (boolean indexing would
-        # re-scan the mask once per array).
-        np.take(pos_a, keep, out=pos_b[:n_new])
-        np.take(cur_own, keep, out=alt_own[:n_new])
-        np.take(d, keep, out=draws_b[:n_new])
-        np.take(ints[:alive], keep, out=ints[:n_new])
+        # re-scan the mask once per array).  In range: keep comes from
+        # nonzero() over the first ``alive`` slots.  Degrees compact into a
+        # separate buffer: numpy copies an overlapping gather in any mode.
+        np.take(pos_a, keep, out=pos_b[:n_new], mode="clip")
+        np.take(cur_own, keep, out=alt_own[:n_new], mode="clip")
+        np.take(d, keep, out=draws_b[:n_new], mode="clip")
+        np.take(ints[:alive], keep, out=ints2[:n_new], mode="clip")
         alive = n_new
         db = draws_b[:alive]
         db *= self.inv_sqrt_c
-        deg = ints[:alive]
-        flat = ints2[:alive]
+        deg = ints2[:alive]
+        flat = ints[:alive]
+        # Every walk left has degree > 0, so its block
+        # [indptr[p], indptr[p + 1]) is non-empty; ``flat`` lands inside it.
         if self._cumulative is None and self._alias_prob is None:
             # Uniform: indices[indptr[p] + floor(r · deg)]
             np.multiply(db, deg, out=floats[:alive])
             flat[:] = floats[:alive]  # truncating cast == astype(int64)
             np.subtract(deg, 1, out=deg)
             np.minimum(flat, deg, out=flat)
-            np.take(self._indptr, pos_b[:alive], out=deg)
+            # In range: positions in [0, n); indptr has n + 1 entries.
+            np.take(self._indptr, pos_b[:alive], out=deg, mode="clip")
             flat += deg
         elif self._cumulative is not None:
             # Weighted CDF: searchsorted the global cumulative, clip into
-            # the node's block — exactly the stepper's arithmetic.
-            np.take(self._weight_totals, pos_b[:alive], out=floats[:alive])
+            # the node's block — exactly the stepper's arithmetic.  In
+            # range: positions in [0, n) index the length-n per-node arrays.
+            np.take(self._weight_totals, pos_b[:alive], out=floats[:alive], mode="clip")
             np.multiply(db, floats[:alive], out=floats[:alive])
-            np.take(self._weight_base, pos_b[:alive], out=floats2[:alive])
+            np.take(self._weight_base, pos_b[:alive], out=floats2[:alive], mode="clip")
             floats2[:alive] += floats[:alive]  # base + draw·W(u)
             found = np.searchsorted(self._cumulative, floats2[:alive], side="right")
-            np.take(self._indptr, pos_b[:alive], out=deg)  # block lo
+            # In range: p in [0, n) and p + 1 <= n index indptr's n + 1.
+            np.take(self._indptr, pos_b[:alive], out=deg, mode="clip")  # block lo
             np.add(pos_b[:alive], 1, out=ints3[:alive])
             hi = pos_a[:alive]  # free as scratch until the final move
-            np.take(self._indptr, ints3[:alive], out=hi)
+            np.take(self._indptr, ints3[:alive], out=hi, mode="clip")
             hi -= 1  # block hi (inclusive)
             np.clip(found, deg, hi, out=flat)
         else:
@@ -814,17 +751,21 @@ class WalkCrashKernel:
             np.minimum(flat, deg, out=flat)
             frac = floats[:alive]
             frac -= flat  # u - j, uniform on [0, 1)
-            np.take(self._indptr, pos_b[:alive], out=deg)  # block lo
+            # In range: positions in [0, n); indptr has n + 1 entries.
+            np.take(self._indptr, pos_b[:alive], out=deg, mode="clip")  # block lo
             cell = ints3[:alive]
             np.add(deg, flat, out=cell)  # absolute table cell
-            np.take(self._alias_prob, cell, out=floats2[:alive])
+            # In range: cell = lo + j with 0 <= j < deg lies in the block,
+            # and the alias tables are aligned with ``indices``.
+            np.take(self._alias_prob, cell, out=floats2[:alive], mode="clip")
             reject = mask[:alive]
             np.greater_equal(frac, floats2[:alive], out=reject)
             alias_local = pos_a[:alive]  # free as scratch until the move
-            np.take(self._alias_alias, cell, out=alias_local)
-            np.copyto(flat, alias_local, where=reject)
+            np.take(self._alias_alias, cell, out=alias_local, mode="clip")
+            np.copyto(flat, alias_local, where=reject)  # alias[j] in [0, deg)
             flat += deg
-        np.take(self._indices, flat, out=idx[:alive])
+        # In range: ``flat`` lies in a non-empty block of ``indices``.
+        np.take(self._indices, flat, out=idx[:alive], mode="clip")
         pos_a[:alive] = idx[:alive]
         return alive
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.crashsim import crashsim
 from repro.core.crashsim_t import crashsim_t
 from repro.core.params import CrashSimParams
 from repro.core.queries import CompositeQuery, ThresholdQuery, TrendQuery
@@ -135,6 +136,58 @@ class TestStreamingBasics:
         assert session.snapshots_seen == 12
         # Carried forward, never recomputed: scores are stable objects.
         assert len(session.scores) == len(session.survivors)
+
+
+class TestWeightOnlySnapshots:
+    """A snapshot whose arcs stay but whose weights move is a real change.
+
+    Nodes 0 and 1 share in-neighbours 2 and 3.  Moving the weights from
+    1,1,1,1 to 100,1,100,1 takes the directed s(0, 1) from 0.3 to about
+    0.59; the session must re-estimate the pair rather than carry 0.3
+    forward.
+    """
+
+    ARCS = [(2, 0), (3, 0), (2, 1), (3, 1)]
+
+    def graphs(self, directed):
+        return [
+            DiGraph.from_edges(4, self.ARCS, directed=directed, weights=weights)
+            for weights in ([1.0, 1.0, 1.0, 1.0], [100.0, 1.0, 100.0, 1.0])
+        ]
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_reweighted_pair_is_recomputed(self, directed):
+        params = CrashSimParams(c=0.6, n_r_override=2000)
+        old, new = self.graphs(directed)
+        # Reference: a fresh CrashSim run on each snapshot (another seed).
+        fresh_old, fresh_new = (
+            crashsim(graph, 0, params=params, seed=11).as_dict()[1]
+            for graph in (old, new)
+        )
+        assert fresh_new - fresh_old > 0.2
+        session = TemporalQuerySession(
+            0, ThresholdQuery(theta=0.01), params=params, seed=3
+        )
+        session.push_snapshot(old)
+        assert session.scores[1] == pytest.approx(fresh_old, abs=0.05)
+        session.push_snapshot(new)
+        assert session.scores[1] == pytest.approx(fresh_new, abs=0.05)
+        assert session.stats.candidates_carried == 0
+
+    def test_unchanged_weights_still_carry(self):
+        old, _ = self.graphs(True)
+        same = DiGraph.from_edges(4, self.ARCS, weights=[1.0, 1.0, 1.0, 1.0])
+        session = TemporalQuerySession(
+            0, ThresholdQuery(theta=0.01), params=PARAMS, seed=3
+        )
+        session.push_snapshot(old)
+        before = session.scores
+        recomputed = session.stats.candidates_recomputed
+        session.push_snapshot(same)
+        assert session.scores == before
+        assert session.stats.delta_pruning_applied == 1
+        assert session.stats.candidates_carried == len(before)
+        assert session.stats.candidates_recomputed == recomputed
 
 
 class TestStreamingValidation:

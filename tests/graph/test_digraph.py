@@ -174,6 +174,36 @@ class TestDerived:
         assert not paper_graph.same_structure(different)
 
 
+class TestReweightedArcs:
+    ARCS = [(0, 1), (1, 2), (2, 0)]
+
+    def test_only_common_arcs_with_new_weights(self):
+        old = DiGraph.from_edges(4, self.ARCS, weights=[1.0, 2.0, 3.0])
+        new = DiGraph.from_edges(
+            4, [(0, 1), (1, 2), (3, 0)], weights=[1.0, 5.0, 3.0]
+        )
+        assert new.reweighted_arcs(old) == {(1, 2)}
+        assert old.reweighted_arcs(new) == {(1, 2)}
+        # Disjoint from the arcs either side lacks.
+        assert new.arcs_not_in(old) == {(3, 0)}
+        assert old.arcs_not_in(new) == {(2, 0)}
+
+    def test_unweighted_graph_weighs_one(self):
+        plain = DiGraph.from_edges(3, self.ARCS)
+        ones = DiGraph.from_edges(3, self.ARCS, weights=[1.0, 1.0, 1.0])
+        heavier = DiGraph.from_edges(3, self.ARCS, weights=[1.0, 1.0, 2.0])
+        assert plain.reweighted_arcs(plain) == frozenset()
+        assert ones.reweighted_arcs(plain) == frozenset()
+        assert heavier.reweighted_arcs(plain) == {(2, 0)}
+        assert plain.reweighted_arcs(heavier) == {(2, 0)}
+
+    def test_node_sets_must_match(self):
+        with pytest.raises(GraphError):
+            DiGraph.from_edges(3, self.ARCS).reweighted_arcs(
+                DiGraph.from_edges(4, self.ARCS)
+            )
+
+
 class TestNetworkxInterop:
     def test_round_trip_directed(self, paper_graph):
         nx_graph = paper_graph.to_networkx()

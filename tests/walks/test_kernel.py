@@ -184,6 +184,109 @@ class TestMultiSource:
         assert np.array_equal(expected, got)
 
 
+ENTRY_POINTS = (
+    "accumulate",
+    "accumulate_multi",
+    "accumulate_moments",
+    "accumulate_multi_moments",
+)
+
+
+def call_entry(kernel, name, tree, targets, seed=42):
+    """One call of entry point ``name``, its result flattened to one array."""
+    trees = [tree] if "multi" in name else tree
+    result = getattr(kernel, name)(
+        trees, targets, 16, l_max=L_MAX, rng=ensure_rng(seed)
+    )
+    return np.stack(result) if isinstance(result, tuple) else result
+
+
+class TestEntryGuard:
+    """The gathers run unchecked, so bad input is refused at entry.
+
+    Targets are range-checked against ``[0, num_nodes)`` and dense trees
+    must carry one column per node; both raise ``IndexError`` before any
+    buffer is touched, so the kernel's next call is unaffected.
+    """
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("where", ["negative", "num_nodes"])
+    def test_out_of_range_target_raises(self, unweighted, name, where):
+        tree = revreach_levels(unweighted, 0, L_MAX, C)
+        targets = walkable_targets(unweighted)
+        kernel = WalkCrashKernel(unweighted, C)
+        before = call_entry(kernel, name, tree, targets)
+        bad = targets.copy()
+        bad[bad.size // 2] = -1 if where == "negative" else unweighted.num_nodes
+        with pytest.raises(IndexError, match="out of bounds"):
+            call_entry(kernel, name, tree, bad)
+        after = call_entry(kernel, name, tree, targets)
+        assert np.array_equal(before, after)
+        assert before.sum() > 0
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("extra_columns", [-1, 1])
+    def test_dense_tree_of_wrong_width_refused(self, unweighted, name, extra_columns):
+        matrix = revreach_levels(unweighted, 0, L_MAX, C).matrix
+        n = unweighted.num_nodes
+        if extra_columns < 0:
+            wrong = np.ascontiguousarray(matrix[:, : n - 1])
+        else:
+            wrong = np.hstack([matrix, np.zeros((matrix.shape[0], 1))])
+        targets = walkable_targets(unweighted)
+        kernel = WalkCrashKernel(unweighted, C)
+        with pytest.raises(IndexError, match="column per node"):
+            call_entry(kernel, name, wrong, targets)
+        # The right width is accepted and scores like the sparse tree.
+        sparse = revreach_levels(unweighted, 0, L_MAX, C)
+        assert np.array_equal(
+            call_entry(kernel, name, np.array(matrix), targets),
+            call_entry(kernel, name, sparse, targets),
+        )
+
+
+class TestEntryPointsAgree:
+    """The four entry points are one loop: their rows agree bit for bit.
+
+    Row ``i`` of ``accumulate_multi`` is ``accumulate(trees[i])`` and row
+    ``i`` of ``accumulate_multi_moments`` is ``accumulate_moments(trees[i])``
+    under one seed, across chunk boundaries and on every sampler.
+    """
+
+    @pytest.mark.parametrize(
+        "graph_name, sampler",
+        [("unweighted", "cdf"), ("weighted", "cdf"), ("weighted", "alias")],
+    )
+    def test_multi_rows_match_single_tree_calls(self, graph_name, sampler, request):
+        graph = request.getfixturevalue(graph_name)
+        trees = [revreach_levels(graph, s, L_MAX, C) for s in (0, 3, 20)]
+        targets = walkable_targets(graph)
+        trials = 24
+        walk_chunk = 5 * targets.size  # five trials a chunk: five chunks
+        kernel = WalkCrashKernel(graph, C, sampler=sampler)
+
+        def run(name, tree_or_trees, **extra):
+            return getattr(kernel, name)(
+                tree_or_trees,
+                targets,
+                trials,
+                l_max=L_MAX,
+                rng=ensure_rng(31),
+                walk_chunk=walk_chunk,
+                **extra,
+            )
+
+        multi = run("accumulate_multi", trees)
+        multi_totals, multi_sumsq = run("accumulate_multi_moments", trees)
+        assert multi.shape == multi_totals.shape == (len(trees), targets.size)
+        for index, tree in enumerate(trees):
+            assert np.array_equal(multi[index], run("accumulate", tree))
+            totals, sumsq = run("accumulate_moments", tree, hub_cache=None)
+            assert np.array_equal(multi_totals[index], totals)
+            assert np.array_equal(multi_sumsq[index], sumsq)
+            assert totals.sum() > 0
+
+
 class TestAliasSampler:
     def test_tables_reconstruct_exact_pmf(self, weighted):
         # P(pick local neighbour i at node u) =
