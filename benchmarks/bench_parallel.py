@@ -5,10 +5,17 @@ Two entry points:
 * ``pytest benchmarks/bench_parallel.py --benchmark-only`` — records one
   single-source parallel CrashSim query per (mode, worker count) on a
   50k-node generated graph (the quantity the speedup claim is about);
-* ``python benchmarks/bench_parallel.py`` — runs the full sweep once,
-  prints a speedup table per execution tier, verifies that every
-  (mode, worker count) produced byte-identical scores for the same master
-  seed, and writes ``BENCH_parallel.json``.
+* ``python benchmarks/bench_parallel.py [--label NAME]`` — runs the
+  fixed-``n_r`` sweep once, prints a speedup table per execution tier,
+  verifies that every (mode, worker count) produced byte-identical scores
+  for the same master seed, then runs the adaptive sweep.  The adaptive
+  sweep has the shape of perfbench's adaptive-w2 workload: the pinned
+  50k-node power-law fixture, ε = 0.05, a 1,000-node catalog and
+  in-degree-1 sources, timed on the serial, thread and process tiers at
+  2 workers.  Both sweeps are stored in ``BENCH_parallel.json`` as run
+  ``--label`` with the machine they ran on (effective CPUs, JIT on/off,
+  numpy version); other labels are kept, so one file holds a
+  before/after pair.
 
 Speedup is bounded by the CPUs this process may actually use —
 ``os.sched_getaffinity`` where available (cgroup/affinity-limited CI
@@ -21,19 +28,24 @@ run — determinism holds at any core count.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
+import platform
 import time
 from typing import Dict, List, Sequence
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.params import CrashSimParams
+from repro.datasets import powerlaw_fixture
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
-from repro.parallel import parallel_crashsim
+from repro.parallel import parallel_crashsim, reset_default_executors
+from repro.walks.kernel import WalkCrashKernel
 
 BENCH_NODES = 50_000
 BENCH_EDGES = 150_000
@@ -42,6 +54,17 @@ BENCH_SEED = 0
 WORKER_COUNTS = (1, 2, 4)
 MODES = ("process", "thread")
 OUTPUT = pathlib.Path(__file__).with_name("BENCH_parallel.json")
+
+ADAPTIVE_EPSILON = 0.05
+ADAPTIVE_CATALOG = 1000
+ADAPTIVE_SOURCES = 12
+ADAPTIVE_SEED = 23
+#: (row label, executor mode, workers); one worker always runs serially.
+ADAPTIVE_TIERS = (
+    ("serial", "auto", 1),
+    ("thread", "thread", 2),
+    ("process", "process", 2),
+)
 
 
 def effective_cpus() -> int:
@@ -169,14 +192,87 @@ def test_speedup_at_four_workers(parallel_graph):
     assert best >= 2.0, rows
 
 
-def main() -> int:
+def machine() -> Dict[str, object]:
+    """What a timing row depends on beyond the code: CPUs, JIT, numpy."""
+    return {
+        "effective_cpus": effective_cpus(),
+        "jit_active": WalkCrashKernel(make_bench_graph(64, 128), 0.6).use_jit,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def adaptive_inputs(graph: DiGraph):
+    """The catalog and sources of the adaptive sweep, fixed by the seed.
+
+    Sources are in-degree-1 nodes, the adaptive-w2 mix; the catalog is
+    drawn from the nodes with an in-link, which are the ones that walk.
+    """
+    rng = np.random.default_rng(ADAPTIVE_SEED)
+    in_degrees = graph.in_degrees()
+    walkable = np.flatnonzero(in_degrees >= 1)
+    catalog = np.sort(rng.choice(walkable, ADAPTIVE_CATALOG, replace=False))
+    sources = rng.choice(
+        np.flatnonzero(in_degrees == 1), ADAPTIVE_SOURCES, replace=False
+    )
+    return catalog, sources
+
+
+def run_adaptive_sweep(graph: DiGraph) -> List[Dict[str, object]]:
+    """Per-query latency of adaptive queries on each tier, tree build included.
+
+    Each tier answers every source once untimed (pool start, warm
+    kernels), then once timed.  Scores must match the serial tier's bit
+    for bit.
+    """
+    catalog, sources = adaptive_inputs(graph)
+    reference = {}
+    tiers = []
+    for label, mode, workers in ADAPTIVE_TIERS:
+
+        def answer(index, source):
+            return api.single_source(
+                graph, int(source), adaptive=True, epsilon=ADAPTIVE_EPSILON,
+                workers=workers, mode=mode, candidates=catalog, seed=index,
+            )
+
+        for index, source in enumerate(sources):
+            answer(index, source)
+        seconds = []
+        identical = True
+        for index, source in enumerate(sources):
+            started = time.perf_counter()
+            scores = np.asarray(answer(index, source))
+            seconds.append(time.perf_counter() - started)
+            expected = reference.setdefault(index, scores)
+            identical &= bool(np.array_equal(expected, scores))
+        reset_default_executors()
+        quartiles = np.percentile(np.array(seconds) * 1e3, [25, 50, 75])
+        tiers.append(
+            {
+                "mode": label,
+                "workers": workers,
+                "median_ms": round(float(quartiles[1]), 1),
+                "p25_ms": round(float(quartiles[0]), 1),
+                "p75_ms": round(float(quartiles[2]), 1),
+                "identical_to_serial": identical,
+            }
+        )
+    return tiers
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--label", default="current", help="run name in BENCH_parallel.json"
+    )
+    args = parser.parse_args(argv)
     cpus = effective_cpus()
     print(
         f"generating graph: n={BENCH_NODES} m={BENCH_EDGES} "
         f"(seed {BENCH_SEED}), n_r={BENCH_N_R}, cpus={cpus}"
     )
-    graph = make_bench_graph()
-    rows = run_sweep(graph)
+    rows = run_sweep(make_bench_graph())
     header = (
         f"{'mode':>8} {'workers':>8} {'seconds':>10} {'speedup':>9} "
         f"{'identical':>10}"
@@ -188,25 +284,59 @@ def main() -> int:
             f"{row['mode']:>8} {row['workers']:>8} {row['seconds']:>10} "
             f"{row['speedup']:>9} {str(row['identical_to_w1']):>10}"
         )
-    payload = {
-        "graph": {
-            "generator": "erdos_renyi",
-            "num_nodes": BENCH_NODES,
-            "num_edges": BENCH_EDGES,
-            "seed": BENCH_SEED,
+    print(
+        f"adaptive sweep: powerlaw fixture, epsilon={ADAPTIVE_EPSILON}, "
+        f"{ADAPTIVE_CATALOG}-node catalog, {ADAPTIVE_SOURCES} in-degree-1 sources"
+    )
+    tiers = run_adaptive_sweep(powerlaw_fixture())
+    for tier in tiers:
+        print(
+            f"{tier['mode']:>8} w{tier['workers']}: median {tier['median_ms']} ms "
+            f"(p25 {tier['p25_ms']}, p75 {tier['p75_ms']}) "
+            f"identical={tier['identical_to_serial']}"
+        )
+    document = {
+        "fixed": {
+            "graph": {
+                "generator": "erdos_renyi",
+                "num_nodes": BENCH_NODES,
+                "num_edges": BENCH_EDGES,
+                "seed": BENCH_SEED,
+            },
+            "n_r": BENCH_N_R,
         },
-        "n_r": BENCH_N_R,
-        "cpus": cpus,
-        "rows": rows,
+        "adaptive_w2": {
+            "graph": "powerlaw_fixture",
+            "epsilon": ADAPTIVE_EPSILON,
+            "catalog": ADAPTIVE_CATALOG,
+            "sources": f"{ADAPTIVE_SOURCES} in-degree-1 nodes",
+            "seed": ADAPTIVE_SEED,
+        },
+        "runs": {},
     }
-    OUTPUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {OUTPUT}")
+    if OUTPUT.exists():
+        previous = json.loads(OUTPUT.read_text())
+        if {key: previous.get(key) for key in ("fixed", "adaptive_w2")} == {
+            key: document[key] for key in ("fixed", "adaptive_w2")
+        }:
+            document["runs"] = previous.get("runs", {})
+    document["runs"][args.label] = {
+        "machine": machine(),
+        "fixed": rows,
+        "adaptive_w2": tiers,
+    }
+    OUTPUT.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    print(f"wrote run {args.label!r} of {OUTPUT}")
+    ok = True
     if not all(row["identical_to_w1"] for row in rows):
         print("FAIL: scores drifted across modes / worker counts")
-        return 1
+        ok = False
+    if not all(tier["identical_to_serial"] for tier in tiers):
+        print("FAIL: adaptive scores drifted across tiers")
+        ok = False
     if cpus < 2:
         print("single effective CPU: scaling not assessable, identity ok")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -293,57 +293,69 @@ class HubCache:
 
 
 def _expected_remainders(
-    graph, tree, l_max: int, c: float
-) -> Tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    graph, tree, l_max: int, c: float, hubs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Backward recursion ``g_t(x) = √c · E_y[U[t+1, y] + g_{t+1}(y)]``.
 
     ``y`` ranges over the in-neighbours of ``x`` with the walk's sampling
     weights; nodes where the walk dies (no in-neighbours, or zero in-weight
     total on weighted graphs — mirroring the kernel's ``dead`` handling)
-    have ``g_t = 0``.  Returns the full ``(l_max + 1, n)`` table.
+    have ``g_t = 0``.  ``tree`` is a sparse tree or a raw ``(l_max + 1,
+    n)`` matrix.  Only two length-``n`` rows are live at a time: returns
+    the ``(l_max + 1, K)`` columns of ``hubs`` and the row ``g_0``.
     """
     n = int(graph.num_nodes)
     indptr = np.asarray(graph.in_indptr, dtype=np.int64)
-    indices = np.asarray(graph.in_indices, dtype=np.int64)
-    degrees = (indptr[1:] - indptr[:-1]).astype(np.float64)
-    weighted = bool(getattr(graph, "is_weighted", False))
-    if weighted:
-        weights = np.asarray(graph.in_weights, dtype=np.float64)
-        denom = np.asarray(graph.in_weight_totals(), dtype=np.float64)
-        live = (degrees > 0) & (denom > 0.0)
-    else:
-        weights = None
-        denom = degrees
-        live = degrees > 0
+    # intp up front: np.take would convert int32 indices on every level.
+    indices = np.asarray(graph.in_indices, dtype=np.intp)
+    tails = np.zeros((l_max + 1, hubs.size), dtype=np.float64)
+    g = np.zeros(n, dtype=np.float64)
     m = indices.size
-    starts = np.minimum(indptr[:-1], max(m - 1, 0))
-    sqrt_c = math.sqrt(c)
-
-    def level_row(step: int) -> np.ndarray:
-        if isinstance(tree, np.ndarray):
-            if step >= tree.shape[0]:
-                return np.zeros(n, dtype=np.float64)
-            return np.asarray(tree[step], dtype=np.float64)
-        nodes, probs = tree.level_arrays(step)
-        row = np.zeros(n, dtype=np.float64)
-        row[nodes] = probs
-        return row
-
-    table = np.zeros((l_max + 1, n), dtype=np.float64)
     if m == 0:
-        return table, level_row
+        return tails, g
+    # Sum over non-empty in-blocks only: each reduceat segment then ends
+    # exactly where its block does.  A block with a zero in-weight total
+    # still bounds its own segment; it is dropped after the sum.
+    blocks = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts = indptr[blocks]
+    weights = None
+    keep = None
+    if getattr(graph, "is_weighted", False):
+        weights = np.asarray(graph.in_weights, dtype=np.float64)
+        denom = np.asarray(graph.in_weight_totals(), dtype=np.float64)[blocks]
+        if not (denom > 0.0).all():
+            keep = denom > 0.0
+            blocks, denom = blocks[keep], denom[keep]
+    else:
+        denom = (indptr[blocks + 1] - starts).astype(np.float64)
+    dense = isinstance(tree, np.ndarray)
+    sqrt_c = math.sqrt(c)
+    values = np.empty(n, dtype=np.float64)
+    gathered = np.empty(m, dtype=np.float64)
     for step in range(l_max - 1, -1, -1):
-        values = level_row(step + 1) + table[step + 1]
-        gathered = values[indices]
-        if weighted:
-            gathered = gathered * weights
+        # values = U[step + 1] + g_{step + 1}
+        if dense:
+            if step + 1 < tree.shape[0]:
+                np.add(tree[step + 1], g, out=values)
+            else:
+                values[:] = g
+        else:
+            values[:] = g
+            nodes, probs = tree.level_arrays(step + 1)
+            values[nodes] += probs
+        # In range: CSR in-neighbours lie in [0, n).
+        np.take(values, indices, out=gathered, mode="clip")
+        if weights is not None:
+            gathered *= weights
         sums = np.add.reduceat(gathered, starts)
-        g = np.zeros(n, dtype=np.float64)
-        np.divide(sums, denom, out=g, where=live)
-        g *= sqrt_c
-        g[~live] = 0.0
-        table[step] = g
-    return table, level_row
+        if keep is not None:
+            sums = sums[keep]
+        sums /= denom
+        sums *= sqrt_c
+        # Nodes outside ``blocks`` are dead and stay 0 at every step.
+        g[blocks] = sums
+        tails[step] = g[hubs]
+    return tails, g
 
 
 def build_hub_cache(
@@ -371,8 +383,7 @@ def build_hub_cache(
     count = min(int(num_hubs), eligible)
     order = np.lexsort((np.arange(in_degrees.size), -in_degrees))
     hubs = np.sort(order[:count].astype(np.int64))
-    table, _ = _expected_remainders(graph, tree, l_max, c)
-    tails = np.ascontiguousarray(table[:, hubs])
+    tails, _ = _expected_remainders(graph, tree, l_max, c, hubs)
     return HubCache(hubs=hubs, tails=tails, num_nodes=int(graph.num_nodes))
 
 
@@ -387,8 +398,10 @@ def exact_expectation(graph, tree, *, l_max: int, c: float) -> np.ndarray:
     ``O(n)`` tree builds.  Benchmarks use it to measure empirical adaptive
     error at scales where the einsum oracle is unaffordable.
     """
-    table, _ = _expected_remainders(graph, tree, l_max, c)
-    return table[0]
+    _, g0 = _expected_remainders(
+        graph, tree, l_max, c, np.empty(0, dtype=np.int64)
+    )
+    return g0
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,28 @@ def _canonical_arcs(arcs: Iterable[Edge], directed: bool) -> frozenset:
     return frozenset((min(s, t), max(s, t)) for s, t in arcs if s != t)
 
 
+def _touched_delta(old: DiGraph, new: DiGraph, touched: Iterable[Edge]) -> EdgeDelta:
+    """The delta from ``old`` to ``new``, judging only the ``touched`` arcs.
+
+    Every arc that changed was touched, but a touched arc need not have
+    changed: one removed and re-added in the same delta, or added while
+    already present.  So each touched arc is classified by its state in
+    both graphs — what :meth:`TemporalQuerySession.push_snapshot`'s full
+    diff would find — in O(|touched| log d) lookups, not O(m).
+    """
+    added, removed, reweighted = set(), set(), set()
+    for s, t in _canonical_arcs(touched, new.directed):
+        before, after = old.has_edge(s, t), new.has_edge(s, t)
+        if before and after:
+            if old.edge_weight(s, t) != new.edge_weight(s, t):
+                reweighted.add((s, t))
+        elif after:
+            added.add((s, t))
+        elif before:
+            removed.add((s, t))
+    return EdgeDelta(frozenset(added), frozenset(removed), frozenset(reweighted))
+
+
 class TemporalQuerySession:
     """Online CrashSim-T over a snapshot stream.
 
@@ -195,17 +217,17 @@ class TemporalQuerySession:
         """Process the next snapshot expressed as a delta; returns Ω.
 
         :meth:`DiGraph.with_delta` splices the next snapshot, raising on a
-        bad delta before any session state changes.
+        bad delta before any session state changes.  The transition sees
+        the same delta as :meth:`push_snapshot` of that snapshot: an arc
+        both removed and added is reweighted or unchanged, and re-adding a
+        present arc adds nothing.
         """
         if self._graph is None:
             raise TemporalError("push an initial snapshot before any delta")
         added = [(int(s), int(t)) for s, t in added]
         removed = [(int(s), int(t)) for s, t in removed]
         graph = self._graph.with_delta(added, removed)
-        delta = EdgeDelta(
-            added=_canonical_arcs(added, graph.directed),
-            removed=_canonical_arcs(removed, graph.directed),
-        )
+        delta = _touched_delta(self._graph, graph, added + removed)
         return self._advance(graph, delta)
 
     # ------------------------------------------------------------------

@@ -72,6 +72,7 @@ across requests.  The contract:
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import threading
@@ -276,6 +277,30 @@ def _preferred_context() -> Optional[multiprocessing.context.BaseContext]:
     return None  # pragma: no cover - every CPython platform has one
 
 
+#: glibc ``mallopt`` parameters (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _init_worker() -> None:
+    """Let a pool worker's heap keep freed shard scratch for the next shard.
+
+    Every process-tier shard builds a fresh walk kernel whose step buffers
+    take tens of megabytes.  Under glibc's default, dynamic thresholds a
+    worker hands them back to the OS after each shard and faults them in
+    again on the next — unless it inherited raised thresholds from a
+    parent that happened to free a large array before the pool started.
+    Fixed thresholds make a shard cost the same whatever the start method
+    or the moment of the fork.  A no-op where there is no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _shutdown_pool(pool) -> None:
     """GC-time backstop: release workers without blocking the collector."""
     pool.shutdown(wait=False, cancel_futures=True)
@@ -404,7 +429,9 @@ class ParallelExecutor:
             else:
                 try:
                     pool = ProcessPoolExecutor(
-                        max_workers=self.workers, mp_context=self._context
+                        max_workers=self.workers,
+                        mp_context=self._context,
+                        initializer=_init_worker,
                     )
                 except (OSError, ValueError, ImportError):  # pragma: no cover
                     self._pool_disabled = True  # sandboxed platform: go serial
@@ -476,13 +503,18 @@ class ParallelExecutor:
 
     @property
     def uses_processes(self) -> bool:
-        """True when tasks cross a process boundary (must be picklable)."""
-        return not self.serial and self.mode == "process"
+        """True when tasks cross a process boundary (must be picklable).
+
+        Judged by the tier, not by whether a pool is up right now: a pool
+        dropped after a deadline is rebuilt by the next :meth:`run`, whose
+        tasks must already be picklable.
+        """
+        return not self._pool_disabled and self.mode == "process"
 
     @property
     def uses_threads(self) -> bool:
         """True when tasks run on a thread pool in this process."""
-        return not self.serial and self.mode == "thread"
+        return not self._pool_disabled and self.mode == "thread"
 
     @property
     def mode_label(self) -> str:

@@ -57,6 +57,7 @@ walk-generation cost is still paid once per trial, not once per source.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import threading
@@ -107,7 +108,7 @@ from repro.parallel.shared_graph import (
     attach_tree,
 )
 from repro.rng import RngLike, as_seed_sequence, ensure_rng
-from repro.walks.kernel import KernelPool, WalkCrashKernel
+from repro.walks.kernel import DEFAULT_DENSE_ROW_BUDGET, KernelPool, WalkCrashKernel
 
 __all__ = [
     "DEFAULT_SHARDS",
@@ -272,18 +273,39 @@ def _shard_body(kernel, job: _Job, tree, targets, index, trials, seed):
     )
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """A process-tier shard: shared-memory specs, the job, and the shard.
-
-    ``tree`` is the published sparse tree, or for multi-source jobs the
-    stacked dense ``(q, l_max + 1, n)`` array.  The hub cache rides along
-    by value inside ``job`` — kilobytes of tails, not worth a segment.
-    """
+class _Published(NamedTuple):
+    """Shared-memory specs of one query's arrays (process tier only)."""
 
     graph: SharedGraphSpec
     tree: Union[SharedTreeSpec, ArraySpec]
     targets: ArraySpec
+
+
+class _Inputs(NamedTuple):
+    """What every round and shard of one query reads, set up once.
+
+    ``tree`` is the sparse source tree, the query's dense ``U`` matrix
+    (:func:`_fill_matrix`), or a multi-source job's stacked
+    ``(q, l_max + 1, n)`` array.  On the process tier ``published``
+    carries the specs the shards read instead — one publication serves
+    every round, retry and pool rebuild of the query.
+    """
+
+    graph: object
+    tree: object
+    targets: np.ndarray
+    published: Optional[_Published] = None
+
+
+@dataclass(frozen=True)
+class _ShardTask:
+    """A process-tier shard: shared-memory specs, the job, and the shard.
+
+    The hub cache rides along by value inside ``job`` — kilobytes of
+    tails, not worth a segment.
+    """
+
+    published: _Published
     job: _Job
     index: int
     trials: int
@@ -292,13 +314,14 @@ class _ShardTask:
 
 def _run_shard(task: _ShardTask) -> np.ndarray:
     """Process-tier worker entry point: attach the arrays, run the shard."""
-    view = attach_graph(task.graph)
-    if task.job.multi:
-        tree, handle = attach_array(task.tree)
+    published = task.published
+    view = attach_graph(published.graph)
+    if isinstance(published.tree, ArraySpec):
+        tree, handle = attach_array(published.tree)
         tree_handles = (handle,)
     else:
-        tree, tree_handles = attach_tree(task.tree)
-    targets, targets_handle = attach_array(task.targets)
+        tree, tree_handles = attach_tree(published.tree)
+    targets, targets_handle = attach_array(published.targets)
     try:
         kernel = WalkCrashKernel(view, task.job.c, sampler=task.job.sampler)
         return _shard_body(
@@ -309,6 +332,52 @@ def _run_shard(task: _ShardTask) -> np.ndarray:
         for handle in tree_handles:
             handle.close()
         targets_handle.close()
+
+
+def _fill_matrix(tree, matrix: np.ndarray) -> np.ndarray:
+    """Write the sparse tree's levels into the zero ``matrix``; return it.
+
+    Every shard of a query reads the same rows.  Built once, the matrix
+    replaces a lazy row cache per shard, and on the process tier it is
+    written straight into the one segment every worker maps.  Built from
+    the level arrays, not ``SparseReverseTree.matrix``: that caches on the
+    tree, which a serving engine's LRU keeps long after the query.
+    """
+    for step in range(matrix.shape[0]):
+        nodes, probs = tree.level_arrays(step)
+        matrix[step, nodes] = probs
+    return matrix
+
+
+def _publish(
+    stack: contextlib.ExitStack,
+    graph,
+    tree,
+    targets: np.ndarray,
+    job: _Job,
+    *,
+    dense: bool,
+) -> _Published:
+    """Copy the query's arrays into shared memory once.
+
+    ``dense`` publishes the sparse ``tree`` as the query's dense ``U``
+    matrix, filled in place.  ``stack`` unlinks every segment when the
+    query ends — normally or by any exception — after the executor has
+    drained its workers.
+    """
+    publish_alias = job.sampler == "alias" and getattr(graph, "is_weighted", False)
+    shared_graph = stack.enter_context(SharedGraph(graph, publish_alias=publish_alias))
+    if dense:
+        shape = (job.l_max + 1, graph.num_nodes)
+        matrix = stack.enter_context(SharedArray.zeros(shape))
+        _fill_matrix(tree, matrix.array())
+        tree_spec = matrix.spec
+    elif isinstance(tree, np.ndarray):
+        tree_spec = stack.enter_context(SharedArray(tree)).spec
+    else:
+        tree_spec = stack.enter_context(SharedTree(tree)).spec()
+    targets_spec = stack.enter_context(SharedArray(targets)).spec
+    return _Published(shared_graph.spec(), tree_spec, targets_spec)
 
 
 # KernelPools are cached on the DiGraph itself (a dedicated slot), keyed by
@@ -351,9 +420,7 @@ def _kernel_pool(graph, *, c: float, sampler: str) -> KernelPool:
 
 def _map_shards(
     executor: ParallelExecutor,
-    graph,
-    tree,
-    targets: np.ndarray,
+    inputs: _Inputs,
     job: _Job,
     sizes: Sequence[int],
     seeds: Sequence[np.random.SeedSequence],
@@ -363,37 +430,30 @@ def _map_shards(
 ) -> MapOutcome:
     """Run a slice of the shard plan on ``executor``'s tier, in shard order.
 
-    The serial and thread tiers run shards as closures over the original
+    The serial and thread tiers run shards as closures over the query's
     arrays, each thread through its own :class:`KernelPool` kernel; the
-    process tier publishes graph, tree and targets to shared memory and
-    ships :class:`_ShardTask` s to :func:`_run_shard`.  ``index_offset``
-    keeps global shard indices (the fault-injection identity) stable when
-    the adaptive loop maps one round at a time.  Lost or failed shards were
-    retried per the executor's policy; :func:`_settle` judges what is left.
+    process tier ships :class:`_ShardTask` s over the query's published
+    specs to :func:`_run_shard`.  ``index_offset`` keeps global shard
+    indices (the fault-injection identity) stable when the adaptive loop
+    maps one round at a time.  Lost or failed shards were retried per the
+    executor's policy; :func:`_settle` judges what is left.
     """
     indices = range(index_offset, index_offset + len(sizes))
-    if not executor.uses_processes:
-        kernels = _kernel_pool(graph, c=job.c, sampler=job.sampler)
+    if inputs.published is None:
+        kernels = _kernel_pool(inputs.graph, c=job.c, sampler=job.sampler)
 
         def run_local_shard(item):
-            return _shard_body(kernels.get(), job, tree, targets, *item)
+            return _shard_body(
+                kernels.get(), job, inputs.tree, inputs.targets, *item
+            )
 
         items = list(zip(indices, sizes, seeds))
         return _dispatch(executor, run_local_shard, items, deadline)
-    shared_tree = SharedArray(tree) if job.multi else SharedTree(tree)
-    publish_alias = job.sampler == "alias" and getattr(graph, "is_weighted", False)
-    with SharedGraph(
-        graph, publish_alias=publish_alias
-    ) as shared_graph, shared_tree, SharedArray(targets) as shared_targets:
-        tree_spec = shared_tree.spec if job.multi else shared_tree.spec()
-        tasks = [
-            _ShardTask(
-                shared_graph.spec(), tree_spec, shared_targets.spec, job,
-                index, trials, seed,
-            )
-            for index, trials, seed in zip(indices, sizes, seeds)
-        ]
-        return _dispatch(executor, _run_shard, tasks, deadline)
+    tasks = [
+        _ShardTask(inputs.published, job, index, trials, seed)
+        for index, trials, seed in zip(indices, sizes, seeds)
+    ]
+    return _dispatch(executor, _run_shard, tasks, deadline)
 
 
 def _dispatch(executor: ParallelExecutor, fn, items, deadline) -> MapOutcome:
@@ -533,9 +593,7 @@ def _plan(n_r: int, num_targets: int, shards: Optional[int]) -> List[int]:
 
 def _run_fixed(
     executor: ParallelExecutor,
-    graph,
-    tree,
-    targets: np.ndarray,
+    inputs: _Inputs,
     job: _Job,
     params: CrashSimParams,
     *,
@@ -551,9 +609,7 @@ def _run_fixed(
     n_r = sum(plan)
     outcome = _map_shards(
         executor,
-        graph,
-        tree,
-        targets,
+        inputs,
         job,
         plan,
         seed_seq.spawn(len(plan)),
@@ -578,13 +634,11 @@ def _run_fixed(
 
 def _run_adaptive(
     executor: ParallelExecutor,
-    graph,
-    tree,
-    targets: np.ndarray,
+    inputs: _Inputs,
     job: _Job,
     params: CrashSimParams,
     *,
-    shards: Optional[int],
+    plan: Sequence[int],
     seed_seq: np.random.SeedSequence,
     num_nodes: int,
     num_estimates: int,
@@ -604,18 +658,7 @@ def _run_adaptive(
     whatever rounds completed.
     """
     n_r = params.n_r(num_nodes)
-    if not num_estimates:
-        stopper = AdaptiveStopper(params, 0, 0.0, 1)
-        return drive_adaptive_rounds(
-            [], [], stopper, lambda *_: ([], False), num_nodes=num_nodes, n_r=n_r
-        )
-    plan = _plan(n_r, num_estimates, shards)
     seeds = seed_seq.spawn(len(plan))
-    job = replace(job, moments=True)
-    if not job.multi:
-        job = replace(
-            job, hub_cache=build_hub_cache(graph, tree, l_max=job.l_max, c=job.c)
-        )
     stopper = AdaptiveStopper(
         params, num_estimates, value_bound, len(plan_rounds(len(plan)))
     )
@@ -631,7 +674,7 @@ def _run_adaptive(
             attempted.deadline_hit = True
             return [None] * len(sizes), True
         outcome = _map_shards(
-            executor, graph, tree, targets, job, sizes, round_seeds,
+            executor, inputs, job, sizes, round_seeds,
             deadline=remaining, index_offset=start,
         )
         attempted.completed.extend(outcome.completed)
@@ -684,6 +727,13 @@ def _run_trials(
     serial estimator — every trial on the caller's generator, no executor,
     on ``kernel`` when one is passed warm; adaptive queries always shard.
     ``started`` and ``log_context`` are read only by sharded runs.
+
+    A sharded query sets up once what all its rounds and shards read: the
+    hub cache, the dense ``U`` matrix (:func:`_fill_matrix`; for an
+    adaptive query, or a fixed one split over more than one shard, when it
+    fits the budget) and, on the process tier, one shared-memory
+    publication — the matrix written straight into its segment — that is
+    unlinked when the query ends.
     """
     if deadline is not None and deadline <= 0:
         raise ParameterError(f"deadline must be positive, got {deadline}")
@@ -707,41 +757,75 @@ def _run_trials(
     sparse_trees = tree if multi else [tree]
     if multi:
         tree = np.stack([t.matrix for t in sparse_trees])
+    num_estimates = targets.size * num_sources
+    if not num_estimates:
+        if not adaptive:
+            achieved = params.achieved_epsilon(num_nodes, n_r)
+            return _Estimate(np.zeros(shape), n_r, False, achieved)
+        outcome = drive_adaptive_rounds(
+            [], [], AdaptiveStopper(params, 0, 0.0, 1), lambda *_: ([], False),
+            num_nodes=num_nodes, n_r=n_r,
+        )
+        return _Estimate(
+            outcome.totals.reshape(shape), 0, False, outcome.achieved_epsilon
+        )
+    plan = _plan(n_r, num_estimates, shards)
     if adaptive:
+        job = replace(job, moments=True)
+        if not multi:
+            job = replace(
+                job,
+                hub_cache=build_hub_cache(graph, tree, l_max=job.l_max, c=job.c),
+            )
+    # The dense matrix must fit the kernel's dense-row budget beside the
+    # hub cache: the rule under which a shard would not cache rows either.
+    matrix_bytes = (job.l_max + 1) * graph.num_nodes * 8
+    reserved = job.hub_cache.nbytes if job.hub_cache is not None else 0
+    dense = (
+        not multi
+        and hasattr(tree, "level_arrays")
+        and (adaptive or len(plan) > 1)
+        and matrix_bytes + reserved <= DEFAULT_DENSE_ROW_BUDGET
+    )
+    with contextlib.ExitStack() as stack:
+        published = None
+        if executor.uses_processes:
+            published = _publish(stack, graph, tree, targets, job, dense=dense)
+        elif dense:
+            matrix = np.zeros((job.l_max + 1, graph.num_nodes), dtype=np.float64)
+            tree = _fill_matrix(tree, matrix)
+        inputs = _Inputs(graph, tree, targets, published)
+        if not adaptive:
+            return _run_fixed(
+                executor, inputs, job, params,
+                plan=plan,
+                seed_seq=seed_seq,
+                num_nodes=num_nodes,
+                shape=shape,
+                deadline=deadline,
+                started=started,
+                log_context=log_context,
+            )
         # Per-walk ranges sum each sparse tree's level maxima in order; a
         # numpy sum over the stacked rows may round differently.
         bounds = [walk_value_bound(t, params.l_max) for t in sparse_trees]
-        value_bound = np.repeat(bounds, targets.size) if multi else bounds[0]
         outcome = _run_adaptive(
-            executor, graph, tree, targets, job, params,
-            shards=shards,
+            executor, inputs, job, params,
+            plan=plan,
             seed_seq=seed_seq,
             num_nodes=num_nodes,
-            num_estimates=targets.size * num_sources,
-            value_bound=value_bound,
+            num_estimates=num_estimates,
+            value_bound=np.repeat(bounds, targets.size) if multi else bounds[0],
             deadline=deadline,
             started=started,
             log_context=log_context,
         )
-        return _Estimate(
-            outcome.totals.reshape(shape),
-            outcome.trials_used,
-            outcome.degraded,
-            outcome.achieved_epsilon,
-            outcome.stopped_early,
-        )
-    if not targets.size:
-        achieved = params.achieved_epsilon(num_nodes, n_r)
-        return _Estimate(np.zeros(shape), n_r, False, achieved)
-    return _run_fixed(
-        executor, graph, tree, targets, job, params,
-        plan=_plan(n_r, targets.size * num_sources, shards),
-        seed_seq=seed_seq,
-        num_nodes=num_nodes,
-        shape=shape,
-        deadline=deadline,
-        started=started,
-        log_context=log_context,
+    return _Estimate(
+        outcome.totals.reshape(shape),
+        outcome.trials_used,
+        outcome.degraded,
+        outcome.achieved_epsilon,
+        outcome.stopped_early,
     )
 
 

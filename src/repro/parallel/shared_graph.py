@@ -87,19 +87,30 @@ class SharedArray:
 
     def __init__(self, array: np.ndarray, *, name: Optional[str] = None):
         array = np.ascontiguousarray(array)
-        if array.nbytes == 0:
-            # shared_memory rejects zero-byte segments; keep a one-byte
-            # placeholder so empty graphs round-trip uniformly.
-            nbytes = 1
-        else:
-            nbytes = array.nbytes
+        self._create(array.shape, array.dtype, name)
+        self.array()[...] = array
+
+    @classmethod
+    def zeros(cls, shape: Tuple[int, ...], dtype=np.float64) -> "SharedArray":
+        """A zero-filled segment, to be written in place through :meth:`array`.
+
+        Saves the private array and the copy.  The zeros are written out
+        rather than left to the fresh segment: a page its creator never
+        touches stays a hole, which every attaching worker then faults in
+        one page at a time, where present pages map many per fault.
+        """
+        shared = cls.__new__(cls)
+        shared._create(tuple(shape), np.dtype(dtype), None)
+        shared.array().fill(0)
+        return shared
+
+    def _create(self, shape, dtype: np.dtype, name: Optional[str]) -> None:
+        # shared_memory rejects zero-byte segments; keep a one-byte
+        # placeholder so empty graphs round-trip uniformly.
+        nbytes = max(int(np.prod(shape)) * dtype.itemsize, 1)
         name = name or f"repro-{secrets.token_hex(8)}"
         self._shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
-        self.spec = ArraySpec(
-            name=self._shm.name, dtype=array.dtype.str, shape=tuple(array.shape)
-        )
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=self._shm.buf)
-        view[...] = array
+        self.spec = ArraySpec(name=self._shm.name, dtype=dtype.str, shape=tuple(shape))
         self._closed = False
 
     def array(self) -> np.ndarray:

@@ -15,8 +15,12 @@ Covers the contract of :mod:`repro.core.adaptive`:
   honest metadata when shards are lost.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
 from repro.api import single_source
@@ -30,12 +34,13 @@ from repro.core.adaptive import (
 from repro.core.crashsim import crashsim
 from repro.core.multi_source import crashsim_multi_source
 from repro.core.params import CrashSimParams
-from repro.core.revreach import revreach_levels
+from repro.core.revreach import SparseReverseTree, revreach_levels
 from repro.datasets.example_graph import example_graph
 from repro.errors import DegradedResultWarning, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.parallel import parallel_crashsim, parallel_crashsim_multi_source
+from repro.parallel.shared_graph import CsrGraphView
 from repro.walks.kernel import WalkCrashKernel
 
 EPS = 0.1
@@ -198,6 +203,139 @@ class TestExactExpectationAndHubs:
             assert np.abs(mean - exact[targets]).max() <= EPS
             variances.append((sumsq / trials - mean * mean).mean())
         assert variances[1] < variances[0]
+
+
+def oracle_remainders(graph, tree, l_max, c):
+    """The hub recursion as it stood before its rolling two-row form.
+
+    It holds the full ``(l_max + 1, n)`` table, builds a dense row per
+    level, and divides and zeroes over all ``n`` nodes.  One fault is
+    mended: it summed in-blocks with one ``reduceat`` over block starts
+    clipped to ``m - 1``, which cut the last non-empty block short by its
+    final arc whenever in-degree-0 nodes trail it.  Here each block is
+    reduced on its own, with the same ``reduceat`` arithmetic.
+    """
+    n = int(graph.num_nodes)
+    indptr = np.asarray(graph.in_indptr, dtype=np.int64)
+    indices = np.asarray(graph.in_indices, dtype=np.int64)
+    degrees = (indptr[1:] - indptr[:-1]).astype(np.float64)
+    weighted = bool(getattr(graph, "is_weighted", False))
+    if weighted:
+        weights = np.asarray(graph.in_weights, dtype=np.float64)
+        denom = np.asarray(graph.in_weight_totals(), dtype=np.float64)
+        live = (degrees > 0) & (denom > 0.0)
+    else:
+        denom = degrees
+        live = degrees > 0
+
+    def level_row(step):
+        if isinstance(tree, np.ndarray):
+            return np.asarray(tree[step], dtype=np.float64)
+        nodes, probs = tree.level_arrays(step)
+        row = np.zeros(n, dtype=np.float64)
+        row[nodes] = probs
+        return row
+
+    table = np.zeros((l_max + 1, n), dtype=np.float64)
+    for step in range(l_max - 1, -1, -1):
+        values = level_row(step + 1) + table[step + 1]
+        gathered = values[indices]
+        if weighted:
+            gathered = gathered * weights
+        sums = np.array(
+            [
+                np.add.reduceat(gathered[lo:hi], [0])[0] if hi > lo else 0.0
+                for lo, hi in zip(indptr[:-1], indptr[1:])
+            ]
+        )
+        g = np.zeros(n, dtype=np.float64)
+        np.divide(sums, denom, out=g, where=live)
+        g *= math.sqrt(c)
+        g[~live] = 0.0
+        table[step] = g
+    return table
+
+
+@st.composite
+def recursion_cases(draw):
+    """A graph in two disconnected parts plus trailing isolated nodes.
+
+    Arcs may be self-loops; a node without in-arcs is dangling.  Weighted
+    cases draw zero weights often, so whole in-blocks weigh zero (the
+    graph is a :class:`CsrGraphView`: ``DiGraph`` refuses zero weights).
+    The tree is a random sparse-ish ``U`` matrix, given dense or sparse.
+    """
+    sizes = (draw(st.integers(1, 6)), draw(st.integers(0, 6)))
+    n = sizes[0] + sizes[1] + draw(st.integers(0, 3))
+    arcs = set()
+    offset = 0
+    for size in sizes:
+        if size:
+            pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+            for s, t in draw(st.lists(pairs, max_size=3 * size)):
+                arcs.add((offset + s, offset + t))
+        offset += size
+    arcs = sorted(arcs, key=lambda arc: (arc[1], arc[0]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([t for _, t in arcs], minlength=n), out=indptr[1:])
+    indices = np.array([s for s, _ in arcs], dtype=np.int64)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(
+            draw(
+                st.lists(
+                    st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]),
+                    min_size=len(arcs),
+                    max_size=len(arcs),
+                )
+            ),
+            dtype=np.float64,
+        )
+    l_max = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.random((l_max + 1, n)) * (rng.random((l_max + 1, n)) < 0.6)
+    c = draw(st.sampled_from([0.36, 0.6, 0.8]))
+    return CsrGraphView(n, indptr, indices, weights), matrix, l_max, c
+
+
+def sparse_tree(matrix, l_max):
+    levels = [(np.flatnonzero(row), row[np.flatnonzero(row)]) for row in matrix]
+    return SparseReverseTree.from_levels(0, 0.6, l_max, "corrected", matrix.shape[1], levels)
+
+
+class TestHubRecursionOracle:
+    """The rolling recursion gives the oracle's bits, hub tails and ``g_0``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(recursion_cases(), st.booleans())
+    def test_bit_equal_to_oracle(self, case, dense):
+        graph, matrix, l_max, c = case
+        tree = matrix if dense else sparse_tree(matrix, l_max)
+        table = oracle_remainders(graph, tree, l_max, c)
+        exact = exact_expectation(graph, tree, l_max=l_max, c=c)
+        assert np.array_equal(exact, table[0])
+        cache = build_hub_cache(
+            graph, tree, l_max=l_max, c=c, num_hubs=graph.num_nodes
+        )
+        if cache is None:
+            assert not graph.in_indices.size
+            return
+        assert np.array_equal(cache.tails, table[:, cache.hubs])
+
+    def test_last_in_block_before_dangling_nodes_is_whole(self):
+        # Node 2's in-block {0, 1} is the last non-empty one, and nodes 3
+        # and 4 trail it with no in-arcs: its last arc (from 1) must count.
+        g = DiGraph.from_edges(5, [(0, 2), (1, 2), (2, 0), (2, 1)])
+        params = CrashSimParams()
+        trees = [
+            revreach_levels(g, s, params.l_max, params.c).matrix
+            for s in range(g.num_nodes)
+        ]
+        stacked = np.stack(trees)
+        oracle = np.einsum("ulk,vlk->uv", stacked, stacked)
+        tree = revreach_levels(g, 0, params.l_max, params.c)
+        exact = exact_expectation(g, tree, l_max=params.l_max, c=params.c)
+        np.testing.assert_allclose(exact[1:], oracle[0][1:], atol=1e-12)
 
 
 class TestAdaptiveEndToEnd:

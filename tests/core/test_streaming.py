@@ -190,6 +190,90 @@ class TestWeightOnlySnapshots:
         assert session.stats.candidates_recomputed == recomputed
 
 
+class TestOverlappingDeltas:
+    """``push_delta`` sees the delta ``push_snapshot`` would see.
+
+    A caller's delta may touch an arc without changing it: removed and
+    re-added in one push, or re-added while present.  Counting such arcs
+    as added or removed inflates ``num_changed`` and the changed set, and
+    with them the delta-pruning decision.
+    """
+
+    @staticmethod
+    def base(directed, weighted):
+        graph = preferential_attachment(40, 2, directed=directed, seed=1)
+        edges = sorted(graph.edges())
+        if not directed:
+            edges = [(s, t) for s, t in edges if s < t]
+        weights = [1.0 + 2.0 * (i % 2) for i in range(len(edges))] if weighted else None
+        return DiGraph.from_edges(40, edges, directed=directed, weights=weights), edges
+
+    @staticmethod
+    def recorded(monkeypatch):
+        deltas = []
+        advance = TemporalQuerySession._advance
+
+        def spy(self, graph, delta):
+            deltas.append(delta)
+            return advance(self, graph, delta)
+
+        monkeypatch.setattr(TemporalQuerySession, "_advance", spy)
+        return deltas
+
+    def both_ways(self, monkeypatch, first, added, removed):
+        deltas = self.recorded(monkeypatch)
+        sessions = []
+        for by_delta in (True, False):
+            session = TemporalQuerySession(
+                3, ThresholdQuery(theta=0.01), params=PARAMS, seed=4
+            )
+            session.push_snapshot(first)
+            if by_delta:
+                session.push_delta(added, removed)
+            else:
+                session.push_snapshot(first.with_delta(added, removed))
+            sessions.append(session)
+        by_delta, by_snapshot = sessions
+        assert deltas[0] == deltas[1]
+        assert by_delta.stats.as_dict() == by_snapshot.stats.as_dict()
+        assert by_delta.survivors == by_snapshot.survivors
+        assert by_delta.scores == by_snapshot.scores
+        return deltas[0]
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_removed_and_readded_arc_is_unchanged(self, monkeypatch, directed):
+        first, edges = self.base(directed, weighted=False)
+        same = edges[5]
+        new = next(
+            (s, t) for s in range(40) for t in range(40)
+            if s != t and not first.has_edge(s, t)
+        )
+        delta = self.both_ways(monkeypatch, first, [same, new], [same, edges[9]])
+        assert delta.num_changed == 2
+        assert same not in delta.changed
+
+    def test_readding_a_present_arc_adds_nothing(self, monkeypatch):
+        first, edges = self.base(True, weighted=False)
+        delta = self.both_ways(monkeypatch, first, [edges[2], edges[7]], [])
+        assert delta.is_empty()
+        assert delta.num_changed == 0
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_weighted_overlap_is_reweighted_or_nothing(self, monkeypatch, directed):
+        first, edges = self.base(directed, weighted=True)
+        heavy = [edge for i, edge in enumerate(edges) if i % 2]
+        light = [edge for i, edge in enumerate(edges) if not i % 2]
+        # Re-adding sets the weight to 1.0: a heavy arc is reweighted, a
+        # light one unchanged, whether or not it is removed first.
+        added = [heavy[0], heavy[1], light[0], light[1]]
+        removed = [heavy[0], light[0], heavy[4]]
+        delta = self.both_ways(monkeypatch, first, added, removed)
+        assert delta.reweighted == {heavy[0], heavy[1]}
+        assert delta.removed == {heavy[4]}
+        assert not delta.added
+        assert delta.num_changed == 3
+
+
 class TestStreamingValidation:
     def test_delta_before_start_rejected(self):
         session = TemporalQuerySession(0, ThresholdQuery(theta=0.1))
