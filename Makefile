@@ -11,26 +11,23 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Parallel subsystem only; set REPRO_START_METHOD=spawn (or fork) to pin
-# the multiprocessing start method the pool tests use.
+# Parallel subsystem only.
 test-parallel:
 	$(PYTHON) -m pytest tests/parallel/ tests/test_guarantee.py tests/core/test_adaptive.py
 
-# Chaos suite: injected worker kills, stalled shards, deadlines, mid-push
-# failures (see docs/internals.md §9).  Honours REPRO_START_METHOD too.
+# Chaos suite: injected shard failures, stalled shards, deadlines,
+# mid-push failures (see docs/internals.md §9).
 test-chaos:
 	$(PYTHON) -m pytest tests/test_failure_injection.py tests/parallel/test_executor.py
 
 # Serving engine: batching invariance, threaded soak, shutdown-under-load,
-# and worker-kill chaos through the engine (docs/internals.md §11).
-# Honours REPRO_START_METHOD; CI runs it under both fork and spawn.
+# and failing-shard chaos through the engine (docs/internals.md §11).
 test-serve:
 	$(PYTHON) -m pytest tests/serve/
 
 # Overload-resilience suite (docs/internals.md §14): bounded-queue
 # admission, circuit-breaker walk under executor stalls, dispatcher
 # kill/hang recovery, concurrent close, HTTP 429/503/504 mapping.
-# Honours REPRO_START_METHOD; CI runs it under both fork and spawn.
 test-overload:
 	$(PYTHON) -m pytest tests/serve/test_overload.py
 
@@ -49,9 +46,9 @@ BENCH_LABEL ?= current
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py --label "$(BENCH_LABEL)"
 
-# Parallel tiers (process + thread) vs serial on the 50k graph; writes
-# benchmarks/BENCH_parallel.json and fails if any (mode, workers) row
-# drifts from the workers=1 scores.  Scaling needs real cores to show.
+# Thread pool vs serial on the 50k graph and the power-law fixture;
+# writes benchmarks/BENCH_parallel.json and fails if any worker count's
+# row drifts from the workers=1 scores.  Scaling needs real cores to show.
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel.py
 

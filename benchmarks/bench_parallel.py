@@ -1,21 +1,22 @@
-"""Parallel-executor benches: per-tier speedup and determinism vs. workers.
+"""Parallel-executor benches: speedup and determinism vs. worker count.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_parallel.py --benchmark-only`` — records one
-  single-source parallel CrashSim query per (mode, worker count) on a
-  50k-node generated graph (the quantity the speedup claim is about);
-* ``python benchmarks/bench_parallel.py [--label NAME]`` — runs the
-  fixed-``n_r`` sweep once, prints a speedup table per execution tier,
-  verifies that every (mode, worker count) produced byte-identical scores
-  for the same master seed, then runs the adaptive sweep.  The adaptive
-  sweep has the shape of perfbench's adaptive-w2 workload: the pinned
-  50k-node power-law fixture, ε = 0.05, a 1,000-node catalog and
-  in-degree-1 sources, timed on the serial, thread and process tiers at
-  2 workers.  Both sweeps are stored in ``BENCH_parallel.json`` as run
-  ``--label`` with the machine they ran on (effective CPUs, JIT on/off,
-  numpy version); other labels are kept, so one file holds a
-  before/after pair.
+  single-source parallel CrashSim query per worker count on a 50k-node
+  generated graph (the quantity the speedup claim is about);
+* ``python benchmarks/bench_parallel.py [--label NAME]`` — runs three
+  sweeps.  The fixed-``n_r`` sweep prints a speedup table and verifies
+  that every worker count produced byte-identical scores for the same
+  master seed.  The adaptive sweep has the shape of perfbench's
+  adaptive-w2 workload: the pinned 50k-node power-law fixture, ε = 0.05,
+  a 1,000-node catalog and in-degree-1 sources, timed serially and at 2
+  workers.  The fixture sweep times fixed all-node queries from the
+  fixture's top in-degree source at ``n_r`` = 64 and 128, the classic
+  serial estimator against ``workers=2``.  All sweeps are stored in
+  ``BENCH_parallel.json`` as run ``--label`` with the machine they ran
+  on (effective CPUs, JIT on/off, numpy version); other labels are kept,
+  so one file holds a before/after pair.
 
 Speedup is bounded by the CPUs this process may actually use —
 ``os.sched_getaffinity`` where available (cgroup/affinity-limited CI
@@ -52,19 +53,20 @@ BENCH_EDGES = 150_000
 BENCH_N_R = 512
 BENCH_SEED = 0
 WORKER_COUNTS = (1, 2, 4)
-MODES = ("process", "thread")
 OUTPUT = pathlib.Path(__file__).with_name("BENCH_parallel.json")
 
 ADAPTIVE_EPSILON = 0.05
 ADAPTIVE_CATALOG = 1000
 ADAPTIVE_SOURCES = 12
 ADAPTIVE_SEED = 23
-#: (row label, executor mode, workers); one worker always runs serially.
-ADAPTIVE_TIERS = (
-    ("serial", "auto", 1),
-    ("thread", "thread", 2),
-    ("process", "process", 2),
-)
+#: (row label, workers); one worker always runs serially.
+ADAPTIVE_TIERS = (("serial", 1), ("thread", 2))
+
+FIXTURE_N_RS = (64, 128)
+FIXTURE_REPEATS = 5
+#: (row label, ``api.single_source`` keyword arguments).  ``serial`` is
+#: the classic one-stream estimator a caller gets without ``workers=``.
+FIXTURE_TIERS = (("serial", {}), ("thread", {"workers": 2}))
 
 
 def effective_cpus() -> int:
@@ -84,33 +86,30 @@ def make_bench_graph(
 def run_sweep(
     graph: DiGraph,
     worker_counts: Sequence[int] = WORKER_COUNTS,
-    modes: Sequence[str] = MODES,
     *,
     n_r: int = BENCH_N_R,
     source: int = 0,
     seed: int = 1,
 ) -> List[Dict[str, object]]:
-    """Time one query per (mode, worker count); speedup vs. ``workers=1``.
+    """Time one query per worker count; speedup vs. ``workers=1``.
 
-    ``workers=1`` short-circuits to the serial in-process path on every
-    tier, so it is timed once (reported as ``mode="serial"``) and shared
-    as the baseline of both tiers' speedup columns.  Every row records
-    whether its scores are byte-identical to that baseline — the
-    determinism contract says the tier and the worker count never touch a
-    score bit.
+    ``workers=1`` runs the serial in-process path (reported as
+    ``mode="serial"``) and is the baseline of the speedup column.  Every
+    row records whether its scores are byte-identical to that baseline —
+    the determinism contract says the worker count never touches a score
+    bit.
     """
     params = CrashSimParams(n_r_override=n_r)
     rows: List[Dict[str, object]] = []
 
-    def timed(workers: int, mode: str):
+    def timed(workers: int):
         started = time.perf_counter()
         result = parallel_crashsim(
-            graph, source, params=params, seed=seed, workers=workers,
-            mode=mode,
+            graph, source, params=params, seed=seed, workers=workers
         )
         return result, time.perf_counter() - started
 
-    baseline, baseline_seconds = timed(1, "process")
+    baseline, baseline_seconds = timed(1)
     rows.append(
         {
             "mode": "serial",
@@ -120,22 +119,21 @@ def run_sweep(
             "identical_to_w1": True,
         }
     )
-    for mode in modes:
-        for workers in worker_counts:
-            if workers == 1:
-                continue
-            result, seconds = timed(workers, mode)
-            rows.append(
-                {
-                    "mode": mode,
-                    "workers": workers,
-                    "seconds": round(seconds, 4),
-                    "speedup": round(baseline_seconds / seconds, 3),
-                    "identical_to_w1": bool(
-                        np.array_equal(baseline.scores, result.scores)
-                    ),
-                }
-            )
+    for workers in worker_counts:
+        if workers == 1:
+            continue
+        result, seconds = timed(workers)
+        rows.append(
+            {
+                "mode": "thread",
+                "workers": workers,
+                "seconds": round(seconds, 4),
+                "speedup": round(baseline_seconds / seconds, 3),
+                "identical_to_w1": bool(
+                    np.array_equal(baseline.scores, result.scores)
+                ),
+            }
+        )
     return rows
 
 
@@ -149,14 +147,12 @@ def parallel_graph():
     return make_bench_graph()
 
 
-@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("workers", list(WORKER_COUNTS))
-def test_parallel_crashsim_workers(benchmark, parallel_graph, workers, mode):
+def test_parallel_crashsim_workers(benchmark, parallel_graph, workers):
     params = CrashSimParams(n_r_override=BENCH_N_R)
     result = benchmark.pedantic(
         lambda: parallel_crashsim(
-            parallel_graph, 0, params=params, seed=1, workers=workers,
-            mode=mode,
+            parallel_graph, 0, params=params, seed=1, workers=workers
         ),
         iterations=1,
         rounds=1,
@@ -164,8 +160,7 @@ def test_parallel_crashsim_workers(benchmark, parallel_graph, workers, mode):
     assert result.n_r == BENCH_N_R
 
 
-@pytest.mark.parametrize("mode", list(MODES))
-def test_scores_identical_across_worker_counts(parallel_graph, mode):
+def test_scores_identical_across_worker_counts(parallel_graph):
     # Identity is not a scaling property: it must hold on any runner,
     # including single-core containers where the pool is pure overhead.
     params = CrashSimParams(n_r_override=64)
@@ -174,8 +169,7 @@ def test_scores_identical_across_worker_counts(parallel_graph, mode):
     )
     for workers in (2, 4):
         other = parallel_crashsim(
-            parallel_graph, 0, params=params, seed=7, workers=workers,
-            mode=mode,
+            parallel_graph, 0, params=params, seed=7, workers=workers
         )
         assert np.array_equal(reference.scores, other.scores)
 
@@ -219,21 +213,21 @@ def adaptive_inputs(graph: DiGraph):
 
 
 def run_adaptive_sweep(graph: DiGraph) -> List[Dict[str, object]]:
-    """Per-query latency of adaptive queries on each tier, tree build included.
+    """Per-query latency of adaptive queries per worker count, tree build included.
 
-    Each tier answers every source once untimed (pool start, warm
-    kernels), then once timed.  Scores must match the serial tier's bit
+    Each row answers every source once untimed (pool start, warm
+    kernels), then once timed.  Scores must match the serial row's bit
     for bit.
     """
     catalog, sources = adaptive_inputs(graph)
     reference = {}
     tiers = []
-    for label, mode, workers in ADAPTIVE_TIERS:
+    for label, workers in ADAPTIVE_TIERS:
 
         def answer(index, source):
             return api.single_source(
                 graph, int(source), adaptive=True, epsilon=ADAPTIVE_EPSILON,
-                workers=workers, mode=mode, candidates=catalog, seed=index,
+                workers=workers, candidates=catalog, seed=index,
             )
 
         for index, source in enumerate(sources):
@@ -259,6 +253,47 @@ def run_adaptive_sweep(graph: DiGraph) -> List[Dict[str, object]]:
             }
         )
     return tiers
+
+
+def run_fixture_sweep(
+    graph: DiGraph,
+    tiers=FIXTURE_TIERS,
+    n_rs: Sequence[int] = FIXTURE_N_RS,
+    repeats: int = FIXTURE_REPEATS,
+) -> List[Dict[str, object]]:
+    """Latency of fixed all-node queries from the top in-degree source.
+
+    ``tiers`` pairs a row label with the ``api.single_source`` keyword
+    arguments that select it.  Each row answers once untimed (pool start,
+    warm kernels), then ``repeats`` times timed, tree build included.
+    """
+    source = int(np.argmax(graph.in_degrees()))
+    rows = []
+    for n_r in n_rs:
+        for label, options in tiers:
+
+            def answer():
+                return api.single_source(graph, source, n_r=n_r, seed=1, **options)
+
+            answer()
+            seconds = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                answer()
+                seconds.append(time.perf_counter() - started)
+            reset_default_executors()
+            quartiles = np.percentile(np.array(seconds) * 1e3, [25, 50, 75])
+            rows.append(
+                {
+                    "n_r": n_r,
+                    "mode": label,
+                    "workers": options.get("workers", 1),
+                    "median_ms": round(float(quartiles[1]), 1),
+                    "p25_ms": round(float(quartiles[0]), 1),
+                    "p75_ms": round(float(quartiles[2]), 1),
+                }
+            )
+    return rows
 
 
 def main(argv=None) -> int:
@@ -288,12 +323,24 @@ def main(argv=None) -> int:
         f"adaptive sweep: powerlaw fixture, epsilon={ADAPTIVE_EPSILON}, "
         f"{ADAPTIVE_CATALOG}-node catalog, {ADAPTIVE_SOURCES} in-degree-1 sources"
     )
-    tiers = run_adaptive_sweep(powerlaw_fixture())
+    fixture = powerlaw_fixture()
+    tiers = run_adaptive_sweep(fixture)
     for tier in tiers:
         print(
             f"{tier['mode']:>8} w{tier['workers']}: median {tier['median_ms']} ms "
             f"(p25 {tier['p25_ms']}, p75 {tier['p75_ms']}) "
             f"identical={tier['identical_to_serial']}"
+        )
+    print(
+        "fixture sweep: powerlaw fixture, top in-degree source, all nodes, "
+        f"n_r in {FIXTURE_N_RS}, median of {FIXTURE_REPEATS}"
+    )
+    fixture_rows = run_fixture_sweep(fixture)
+    for row in fixture_rows:
+        print(
+            f"n_r={row['n_r']:>4} {row['mode']:>8} w{row['workers']}: "
+            f"median {row['median_ms']} ms "
+            f"(p25 {row['p25_ms']}, p75 {row['p75_ms']})"
         )
     document = {
         "fixed": {
@@ -312,6 +359,13 @@ def main(argv=None) -> int:
             "sources": f"{ADAPTIVE_SOURCES} in-degree-1 nodes",
             "seed": ADAPTIVE_SEED,
         },
+        "fixture": {
+            "graph": "powerlaw_fixture",
+            "source": "top in-degree node",
+            "candidates": "all nodes",
+            "n_r": list(FIXTURE_N_RS),
+            "repeats": FIXTURE_REPEATS,
+        },
         "runs": {},
     }
     if OUTPUT.exists():
@@ -324,15 +378,16 @@ def main(argv=None) -> int:
         "machine": machine(),
         "fixed": rows,
         "adaptive_w2": tiers,
+        "fixture": fixture_rows,
     }
     OUTPUT.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
     print(f"wrote run {args.label!r} of {OUTPUT}")
     ok = True
     if not all(row["identical_to_w1"] for row in rows):
-        print("FAIL: scores drifted across modes / worker counts")
+        print("FAIL: scores drifted across worker counts")
         ok = False
     if not all(tier["identical_to_serial"] for tier in tiers):
-        print("FAIL: adaptive scores drifted across tiers")
+        print("FAIL: adaptive scores drifted across worker counts")
         ok = False
     if cpus < 2:
         print("single effective CPU: scaling not assessable, identity ok")

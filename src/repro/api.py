@@ -114,7 +114,6 @@ def single_source(
     deadline: Optional[float] = None,
     sampler: str = "cdf",
     candidates: Optional[Iterable[int]] = None,
-    mode: str = "auto",
     shards: Optional[int] = None,
     adaptive: bool = False,
 ) -> np.ndarray:
@@ -143,11 +142,6 @@ def single_source(
         for the same seed at every worker count).  Repeated calls share
         the process-wide persistent executor — the pool is paid for once
         per process, not once per query.
-    mode:
-        ``crashsim`` only: execution tier for the sharded path —
-        ``"process"``, ``"thread"``, or ``"auto"`` (default; threads when
-        the nogil JIT is active, processes otherwise).  Never affects
-        scores, only where shards run.
     shards:
         ``crashsim`` only: trial-shard count override for the sharded
         path.  ``None`` (default) autotunes via
@@ -180,7 +174,7 @@ def single_source(
         (:mod:`repro.core.adaptive`).  The returned vector's
         ``trials_completed`` / ``achieved_epsilon`` / ``stopped_early``
         report the honest outcome; scores are deterministic per seed and
-        identical at any worker count or tier, but use a different RNG
+        identical at any worker count, but use a different RNG
         stream than the fixed-``n_r`` path.  Composes with ``deadline=``:
         whichever bound is better is reported, never worse metadata.
 
@@ -207,10 +201,6 @@ def single_source(
     if candidates is not None and method != "crashsim":
         raise ParameterError(
             f"candidates= is only supported for method='crashsim', got {method!r}"
-        )
-    if mode != "auto" and method != "crashsim":
-        raise ParameterError(
-            f"mode= is only supported for method='crashsim', got {method!r}"
         )
     if shards is not None and method != "crashsim":
         raise ParameterError(
@@ -246,7 +236,6 @@ def single_source(
                 workers=workers,
                 deadline=deadline,
                 sampler=sampler,
-                mode=mode,
                 shards=shards,
                 adaptive=adaptive,
             )

@@ -111,16 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process count for parallel execution ('query' only; "
+        help="thread count for parallel execution ('query' only; "
         "default: serial estimator, 0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["auto", "thread", "process"],
-        default="auto",
-        help="parallel execution tier for 'query'/'serve' (default: auto — "
-        "threads when the nogil JIT is active, processes otherwise; "
-        "never affects scores)",
     )
     parser.add_argument(
         "--source",
@@ -289,7 +281,6 @@ def _run_query(args, profile) -> int:
             seed=profile.seed,
             workers=workers,
             deadline=args.deadline,
-            mode=args.mode,
             adaptive=args.adaptive,
         )
     except DeadlineExceededError as exc:
@@ -403,7 +394,6 @@ def _run_serve(args, profile) -> int:
         batch_window=args.batch_window,
         tree_cache_size=args.tree_cache,
         workers=args.workers if args.workers else None,
-        mode=args.mode,
         seed=profile.seed,
         max_queue_depth=args.max_queue_depth,
         shed_policy=args.shed_policy,

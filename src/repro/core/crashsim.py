@@ -69,7 +69,7 @@ class CrashSimResult:
         The source's reverse reachable tree (reusable by CrashSim-T).
     trials_completed:
         Trials that actually finished; ``n_r`` unless shards were lost to
-        a deadline, worker death, or in-shard errors (sharded runs only,
+        a deadline, cancellation, or in-shard errors (sharded runs only,
         which includes serial adaptive ones — a fixed-``n_r`` serial run
         is one stream and always completes).
     degraded:

@@ -1,9 +1,9 @@
 """Deterministic fault injection for resilience testing.
 
-The chaos suite (``tests/test_failure_injection.py``) needs to kill worker
-processes, stall shards past a deadline, and raise mid-shard — *inside*
-worker processes, repeatably, without touching production code paths.  This
-module provides exactly that: named **sites** in the execution layers call
+The chaos suite (``tests/test_failure_injection.py``) needs to stall shards
+past a deadline and raise mid-shard — on pool threads, repeatably, without
+touching production code paths.  This module provides exactly that: named
+**sites** in the execution layers call
 :func:`inject` with their shard / push index, and the call is a no-op
 unless the ``REPRO_FAULTS`` environment variable carries a plan.
 
@@ -12,30 +12,28 @@ Environment contract
 
 ``REPRO_FAULTS``
     A JSON object mapping *site* → { *index* → action }.  An action is
-    ``{"kind": "kill" | "raise" | "delay", "seconds": float,
-    "times": int}`` (``seconds`` only for ``delay``; ``times`` defaults
-    to 1).  Example::
+    ``{"kind": "raise" | "delay", "seconds": float, "times": int}``
+    (``seconds`` only for ``delay``; ``times`` defaults to 1).  Example::
 
-        REPRO_FAULTS='{"shard": {"3": {"kind": "kill"}}}'
+        REPRO_FAULTS='{"shard": {"3": {"kind": "raise"}}}'
 
-    kills the worker process the first time trial shard 3 starts.
+    raises :class:`InjectedFault` the first time trial shard 3 starts.  A
+    plan naming any other kind is rejected with :class:`InjectedFault`.
 ``REPRO_FAULTS_DIR``
-    A directory used to count firings across *processes* (workers inherit
-    the environment, so without shared state a retried shard would be
-    killed again forever).  Each firing claims a marker file atomically
-    (``O_CREAT | O_EXCL``); once ``times`` markers exist the fault is
-    spent.  Without the directory every matching call fires.
+    A directory used to count firings across threads and processes, so a
+    retried shard is not failed again forever.  Each firing claims a
+    marker file atomically (``O_CREAT | O_EXCL``); once ``times`` markers
+    exist the fault is spent.  Without the directory every matching call
+    fires.
 
-Why environment variables: worker processes are created by
-``ProcessPoolExecutor`` under both ``fork`` and ``spawn``, and the
-environment is the one channel that reaches them under either start method
-with zero plumbing through task objects.  The production fast path is a
-single ``os.environ`` membership test.
+The environment reaches every thread and any child process (a CLI run, a
+server under test) with zero plumbing; the production fast path is a
+single ``os.environ`` lookup.
 
 Sites currently instrumented:
 
 * ``"shard"`` — a Monte-Carlo trial shard starting
-  (:mod:`repro.parallel.runner`, both the pool workers and the serial
+  (:mod:`repro.parallel.runner`, on a pool thread or the serial
   in-process path); index = shard number.
 * ``"advance"`` — a :class:`~repro.core.streaming.TemporalQuerySession`
   push, after pruning but before scoring; index = the snapshot ordinal
@@ -48,8 +46,7 @@ Sites currently instrumented:
   any request is popped; index = a per-engine iteration counter that
   survives watchdog restarts.  ``raise`` kills the dispatcher thread
   (nothing queued is lost — the watchdog restarts it), ``delay`` hangs it
-  for stall detection.  ``kill`` would take down the whole process —
-  these two sites run in the serving process, not a worker.
+  for stall detection.
 * ``"executor_stall"`` — the top of each
   :meth:`~repro.parallel.ParallelExecutor.run` call, after the deadline
   clock starts; index = the executor's run ordinal.  A ``delay`` here
@@ -66,7 +63,6 @@ import contextlib
 import errno
 import json
 import os
-import signal
 import tempfile
 import time
 from typing import Dict, Iterator, Optional
@@ -76,7 +72,7 @@ __all__ = ["InjectedFault", "inject", "active", "enabled"]
 ENV_PLAN = "REPRO_FAULTS"
 ENV_DIR = "REPRO_FAULTS_DIR"
 
-_KINDS = ("kill", "raise", "delay")
+_KINDS = ("raise", "delay")
 
 
 class InjectedFault(RuntimeError):
@@ -109,19 +105,37 @@ def _plan() -> Optional[dict]:
             plan = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise InjectedFault(f"unparsable {ENV_PLAN} value: {exc}") from exc
-        if not isinstance(plan, dict):
-            raise InjectedFault(f"{ENV_PLAN} must be a JSON object")
+        _check_plan(plan)
         _parsed.clear()  # only ever one live plan; don't accumulate
         _parsed[raw] = plan
     return plan
 
 
+def _check_plan(plan) -> None:
+    """Reject a plan that is not a site → index → action mapping of known kinds.
+
+    Shards run on threads of the calling process, so a fault that killed
+    its process would take the whole caller down: ``kind`` is ``raise``
+    or ``delay``.
+    """
+    if not isinstance(plan, dict):
+        raise InjectedFault(f"{ENV_PLAN} must be a JSON object")
+    for site, actions in plan.items():
+        for index, action in actions.items():
+            kind = action.get("kind")
+            if kind not in _KINDS:
+                raise InjectedFault(
+                    f"unknown fault kind {kind!r} at {site}[{index}]; "
+                    f"expected one of {', '.join(_KINDS)}"
+                )
+
+
 def _claim_firing(site: str, index: int, times: int) -> bool:
     """Atomically claim one of the fault's ``times`` firings.
 
-    Marker files in ``REPRO_FAULTS_DIR`` are shared by every process of
-    the run, so a fault that killed a worker once stays spent when the
-    shard is retried in a fresh worker.  Returns ``False`` once spent.
+    Marker files in ``REPRO_FAULTS_DIR`` are shared by every thread and
+    process of the run, so a fault stays spent when its shard is
+    retried.  Returns ``False`` once spent.
     """
     directory = os.environ.get(ENV_DIR)
     if not directory:
@@ -154,33 +168,12 @@ def inject(site: str, index: int) -> None:
     action = actions.get(str(int(index)))
     if action is None:
         return
-    kind = action.get("kind")
-    if kind not in _KINDS:
-        raise InjectedFault(f"unknown fault kind {kind!r} at {site}[{index}]")
     if not _claim_firing(site, index, int(action.get("times", 1))):
         return
-    if kind == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-        # SIGKILL is not deliverable to ourselves synchronously on every
-        # platform; make sure the site never proceeds past a kill.
-        time.sleep(60)  # pragma: no cover - unreachable after SIGKILL
-        raise InjectedFault(f"kill at {site}[{index}] did not terminate")
-    if kind == "delay":
+    if action["kind"] == "delay":
         time.sleep(float(action.get("seconds", 1.0)))
         return
     raise InjectedFault(f"injected failure at {site}[{index}]")
-
-
-def _reset_shared_pools() -> None:
-    # The persistent default executors hold worker pools whose processes
-    # read the fault-plan environment at pool creation (fork inherits it,
-    # spawn re-reads it).  A pool that predates the plan would never see
-    # it — and one that outlives the plan would keep firing it — so both
-    # edges of active() drop the shared pools; the next query lazily
-    # rebuilds them under the current environment.
-    from repro.parallel.executor import reset_default_executors
-
-    reset_default_executors()
 
 
 @contextlib.contextmanager
@@ -188,18 +181,17 @@ def active(plan: dict, directory: Optional[str] = None) -> Iterator[str]:
     """Install ``plan`` (and a marker directory) for the duration of a test.
 
     Yields the marker directory so assertions can inspect which faults
-    fired.  Restores both environment variables on exit; pools created
-    *inside* the block inherit the plan under fork and spawn alike (the
-    process-wide default executors are reset on entry and exit so no
-    shared pool straddles the plan boundary).
+    fired.  Restores both environment variables on exit.  A plan naming an
+    unknown kind raises :class:`InjectedFault` before anything is
+    installed.
     """
+    _check_plan(plan)
     saved = {key: os.environ.get(key) for key in (ENV_PLAN, ENV_DIR)}
     with contextlib.ExitStack() as stack:
         if directory is None:
             directory = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-faults-")
             )
-        _reset_shared_pools()
         os.environ[ENV_PLAN] = json.dumps(plan)
         os.environ[ENV_DIR] = directory
         try:
@@ -210,4 +202,3 @@ def active(plan: dict, directory: Optional[str] = None) -> Iterator[str]:
                     os.environ.pop(key, None)
                 else:
                     os.environ[key] = value
-            _reset_shared_pools()

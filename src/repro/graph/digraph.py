@@ -634,8 +634,8 @@ class DiGraph:
         """Cached ``(prob, alias)`` Vose tables for weighted in-sampling.
 
         Aligned with :attr:`in_indices`; built once on first request (O(m))
-        and reused by every stepper/kernel and shipped zero-copy through
-        ``SharedGraph``.  Only meaningful for weighted graphs.
+        and reused by every stepper/kernel.  Only meaningful for weighted
+        graphs.
         """
         if self._in_weights is None:
             raise GraphError("graph is unweighted; check is_weighted first")

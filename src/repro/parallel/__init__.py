@@ -1,19 +1,16 @@
-"""Parallel query execution: thread/process tiers + shared-memory sharding.
+"""Parallel query execution: seed-sharded trials on a thread pool.
 
-The subsystem has three layers (docs/internals.md §7 and §13):
+The subsystem has two layers (docs/internals.md §7 and §13):
 
-* :mod:`repro.parallel.shared_graph` — publish a graph's CSR arrays over
-  ``multiprocessing.shared_memory`` so process workers attach zero-copy;
-* :mod:`repro.parallel.executor` — :class:`ParallelExecutor`, a process
-  *or thread* pool (``mode="process"|"thread"|"auto"``) with a serial
-  in-process fallback (``workers=1`` or restricted platforms), plus the
+* :mod:`repro.parallel.executor` — :class:`ParallelExecutor`, a thread
+  pool with a serial in-process fallback (``workers=1``), plus the
   process-wide persistent default executor
   (:func:`get_default_executor`) the drivers share;
 * the drivers — :func:`parallel_crashsim` and
   :func:`parallel_crashsim_multi_source` — which shard work using an
   autotuned plan (:func:`plan_shards`) and
-  ``numpy.random.SeedSequence.spawn`` so any worker count on any tier
-  yields identical, reproducible scores for the same master seed.
+  ``numpy.random.SeedSequence.spawn`` so any worker count yields
+  identical, reproducible scores for the same master seed.
 """
 
 from repro.parallel.executor import (
@@ -33,18 +30,6 @@ from repro.parallel.runner import (
     plan_shards,
     shard_sizes,
 )
-from repro.parallel.shared_graph import (
-    ArraySpec,
-    CsrGraphView,
-    SharedArray,
-    SharedGraph,
-    SharedGraphSpec,
-    SharedTree,
-    SharedTreeSpec,
-    attach_array,
-    attach_graph,
-    attach_tree,
-)
 
 __all__ = [
     "ParallelExecutor",
@@ -60,14 +45,4 @@ __all__ = [
     "plan_shards",
     "parallel_crashsim",
     "parallel_crashsim_multi_source",
-    "ArraySpec",
-    "SharedArray",
-    "SharedGraph",
-    "SharedGraphSpec",
-    "CsrGraphView",
-    "SharedTree",
-    "SharedTreeSpec",
-    "attach_array",
-    "attach_graph",
-    "attach_tree",
 ]

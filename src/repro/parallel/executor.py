@@ -1,44 +1,31 @@
-"""Fault-tolerant pooled execution: process tier, thread tier, serial fallback.
+"""Fault-tolerant pooled execution: a thread pool with a serial fallback.
 
 :class:`ParallelExecutor` is the one place worker pools are created.
 Policy:
 
-* ``workers=1`` (or a platform where process pools cannot start) runs every
-  task in-process, in order — the *same* shard decomposition as the
-  parallel path, so results are bit-identical at any worker count;
-* ``mode="process"`` uses a ``concurrent.futures.ProcessPoolExecutor``,
-  preferring the cheap ``fork`` start method where available and falling
-  back to ``spawn``.  Worker functions must therefore be importable
-  module-level callables with picklable arguments (shard tasks carry
-  shared-memory specs, not graphs);
-* ``mode="thread"`` uses a ``concurrent.futures.ThreadPoolExecutor`` in the
-  calling process.  Tasks are plain closures — no pickling, no
-  shared-memory shipping, no interpreter startup — which pays off when the
-  task body releases the GIL: the numba step loops in
-  :mod:`repro.walks._jit` are compiled ``nogil=True``, and the NumPy
-  fallback releases the GIL inside its larger array ops;
-* ``mode="auto"`` picks the thread tier when the nogil JIT is importable
-  *and* requested (``REPRO_JIT=1``), because then threads scale without
-  any process-tier overhead; otherwise it picks processes, which sidestep
-  the GIL entirely for the pure-NumPy kernel.  See
-  :func:`resolve_mode`.
+* ``workers=1`` runs every task in-process, in order — the *same* shard
+  decomposition as the pooled path, so results are bit-identical at any
+  worker count;
+* ``workers > 1`` runs tasks on a ``concurrent.futures.ThreadPoolExecutor``
+  in the calling process.  Tasks are plain closures — no pickling, no
+  shared-memory shipping, no interpreter startup.  Shard bodies scale
+  because most of their time is spent with the GIL released: the numba
+  step loops in :mod:`repro.walks._jit` are compiled ``nogil=True``, and
+  the NumPy fallback releases the GIL inside its larger array ops.
 
 Two entry points share one future-based engine (:meth:`ParallelExecutor.run`):
 
 * :meth:`ParallelExecutor.map` — the strict, all-or-raise surface.  Task
-  exceptions propagate; a pool that breaks mid-run is **rebuilt and only the
-  lost tasks resubmitted** — results that already completed are never
-  discarded or recomputed — degrading to in-process execution of the
-  *remainder* only if no pool can be rebuilt.
+  exceptions propagate; tasks the pool could not take (it was closed
+  under the call) run in-process instead.
 * :meth:`ParallelExecutor.run` — the resilient surface the query drivers
   use.  It returns a :class:`MapOutcome` recording, per task, the result or
   the failure; honours a wall-clock ``deadline`` (seconds); retries failed
-  tasks up to ``task_retries`` times; survives up to ``pool_rebuilds`` pool
-  breakages (worker death); and supports cooperative cancellation via
-  :meth:`ParallelExecutor.cancel`.  It never raises for a lost task — the
-  caller decides whether a partial outcome is acceptable (CrashSim's
-  Monte-Carlo structure makes any completed-shard prefix a valid, wider-ε
-  estimator; see docs/internals.md §9).
+  tasks up to ``task_retries`` times; and supports cooperative
+  cancellation via :meth:`ParallelExecutor.cancel`.  It never raises for a
+  lost task — the caller decides whether a partial outcome is acceptable
+  (CrashSim's Monte-Carlo structure makes any completed-shard prefix a
+  valid, wider-ε estimator; see docs/internals.md §9).
 
 ``map``/``run`` always index results in task order; the deterministic
 seed-shard scheme in :mod:`repro.parallel.runner` relies on that ordering to
@@ -46,7 +33,7 @@ sum shard totals identically regardless of scheduling, retries, or losses.
 
 Pools are released deterministically by ``close()`` / the context manager,
 and as a backstop by a ``weakref.finalize`` hook so abandoned executors do
-not leak worker processes.
+not keep idle worker threads.
 
 Thread safety
 -------------
@@ -54,38 +41,26 @@ One executor may be shared by many threads issuing :meth:`run` / :meth:`map`
 calls concurrently — the query-serving engine keeps a single executor alive
 across requests.  The contract:
 
-* every pool-lifecycle transition (build, release, abandon) happens under an
-  internal lock, tagged with a monotonically increasing *generation*; a
-  breakage observed by several runs at once rebuilds the pool exactly once
-  (the run that arrives second sees the newer generation and simply
-  resubmits its lost tasks to the already-rebuilt pool);
+* every pool-lifecycle transition (build, release, abandon) happens under
+  an internal lock;
 * each :meth:`run` call owns a private cancellation event;
   :meth:`cancel` cancels every run in flight at that moment and nothing
   else — a later ``run`` starts with a clean slate;
 * a run whose deadline expires (or that is cancelled) abandons the shared
   pool only when it is the *sole* run in flight; otherwise it just cancels
   its own pending futures so concurrent runs keep their workers;
-* a future orphaned by another thread's ``close()`` surfaces as
-  ``CancelledError`` and is treated like a lost task — retried on a fresh
-  pool when one is allowed, recorded as an error otherwise.
+* ``close()`` lets the tasks already queued finish, so runs in flight
+  on other threads complete; a retry that finds the executor closed is
+  recorded as lost (:meth:`ParallelExecutor.map` runs it in-process).
 """
 
 from __future__ import annotations
 
-import ctypes
-import multiprocessing
 import os
 import threading
 import time
 import weakref
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
@@ -102,9 +77,6 @@ __all__ = [
     "reset_default_executors",
 ]
 
-#: Accepted values for the ``mode`` parameter.
-EXECUTOR_MODES = ("process", "thread", "auto")
-
 # Executor accounting flows through MapOutcome already; run() flushes the
 # finished outcome into these process-wide counters in one pass, so the
 # dispatch/wait loops stay metric-free.
@@ -119,11 +91,7 @@ _M_TASKS_COMPLETED = obs.REGISTRY.counter(
 )
 _M_TASK_RETRIES = obs.REGISTRY.counter(
     "repro_executor_task_retries_total",
-    "Task resubmissions after a failure or a lost worker.",
-)
-_M_POOL_REBUILDS = obs.REGISTRY.counter(
-    "repro_executor_pool_rebuilds_total",
-    "Process-pool rebuilds after worker death.",
+    "Task resubmissions after a failure.",
 )
 _M_DEADLINE_EXPIRIES = obs.REGISTRY.counter(
     "repro_executor_deadline_expiries_total",
@@ -136,11 +104,8 @@ _M_CANCELLED = obs.REGISTRY.counter(
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Default number of times a single failed/lost task is resubmitted.
+#: Default number of times a single failed task is resubmitted.
 DEFAULT_TASK_RETRIES = 2
-
-#: Default number of times a broken pool is rebuilt within one run.
-DEFAULT_POOL_REBUILDS = 2
 
 #: Hard cap on any single retry-backoff sleep (seconds).
 RETRY_BACKOFF_CAP = 2.0
@@ -236,69 +201,20 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def resolve_mode(mode: str) -> str:
-    """Resolve ``"auto"`` to a concrete tier; validate explicit choices.
+def resolve_mode(mode: str = "auto") -> str:
+    """The execution tier that runs sharded queries: always ``"thread"``.
 
-    ``auto`` prefers threads exactly when the nogil JIT step loops are both
-    importable and requested (``REPRO_JIT``): compiled ``nogil=True`` shard
-    bodies scale across threads with none of the process tier's pickling /
-    shared-memory / startup overhead.  Without the JIT the pure-NumPy
-    kernel holds the GIL for part of each step, so processes remain the
-    safer default for CPU-bound scaling.
+    There is one tier and no option selects it.  This function is kept
+    only for callers that record the tier, such as the benchmark's machine
+    fingerprint (``resolve_mode("auto")``).
     """
-    if mode not in EXECUTOR_MODES:
-        raise ParameterError(
-            f"mode must be one of {', '.join(EXECUTOR_MODES)}; got {mode!r}"
-        )
-    if mode != "auto":
-        return mode
-    from repro.walks import _jit
-
-    if _jit.jit_requested() and _jit.available():
-        return "thread"
-    return "process"
+    if mode not in ("auto", "thread"):
+        raise ParameterError(f"mode must be 'auto' or 'thread'; got {mode!r}")
+    return "thread"
 
 
-def _preferred_context() -> Optional[multiprocessing.context.BaseContext]:
-    # REPRO_START_METHOD forces a specific start method (CI runs the parallel
-    # suite under both fork and spawn this way); otherwise prefer fork.
-    forced = os.environ.get("REPRO_START_METHOD")
-    methods = multiprocessing.get_all_start_methods()
-    if forced:
-        if forced not in methods:
-            raise ParameterError(
-                f"REPRO_START_METHOD={forced!r} is not a valid multiprocessing "
-                f"start method on this platform; allowed: {', '.join(methods)}"
-            )
-        return multiprocessing.get_context(forced)
-    for method in ("fork", "spawn", "forkserver"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return None  # pragma: no cover - every CPython platform has one
-
-
-#: glibc ``mallopt`` parameters (``malloc.h``).
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _init_worker() -> None:
-    """Let a pool worker's heap keep freed shard scratch for the next shard.
-
-    Every process-tier shard builds a fresh walk kernel whose step buffers
-    take tens of megabytes.  Under glibc's default, dynamic thresholds a
-    worker hands them back to the OS after each shard and faults them in
-    again on the next — unless it inherited raised thresholds from a
-    parent that happened to free a large array before the pool started.
-    Fixed thresholds make a shard cost the same whatever the start method
-    or the moment of the fork.  A no-op where there is no ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+class _PoolUnavailable(RuntimeError):
+    """A task no pool could take: the executor was closed under the run."""
 
 
 def _shutdown_pool(pool) -> None:
@@ -321,7 +237,6 @@ class MapOutcome:
     errors: List[Optional[BaseException]] = field(default_factory=list)
     deadline_hit: bool = False
     cancelled: bool = False
-    pool_rebuilds: int = 0
     task_retries: int = 0
     elapsed: float = 0.0
 
@@ -342,23 +257,13 @@ class MapOutcome:
 
 
 class ParallelExecutor:
-    """Run tasks over ``workers`` processes or threads (or serially).
+    """Run tasks over ``workers`` threads (or serially).
 
     Parameters
     ----------
     workers:
         Worker count; ``None`` uses the CPU count, ``1`` forces the serial
         in-process path.
-    start_method:
-        Optional multiprocessing start-method override (``"fork"``,
-        ``"spawn"``, ``"forkserver"``); default honours the
-        ``REPRO_START_METHOD`` environment variable, then prefers ``fork``.
-        Ignored by the thread tier.
-    mode:
-        ``"process"`` (default, pickling worker functions into a process
-        pool), ``"thread"`` (a thread pool in this process; tasks may be
-        plain closures and should release the GIL to scale), or ``"auto"``
-        (see :func:`resolve_mode`).
     retry_backoff:
         Base (seconds) of the exponential, deterministically-jittered
         sleep before each task resubmission (see :func:`retry_delay`).
@@ -374,13 +279,10 @@ class ParallelExecutor:
         self,
         workers: Optional[int] = None,
         *,
-        start_method: Optional[str] = None,
-        mode: str = "process",
         retry_backoff: float = 0.0,
         retry_budget: Optional[RetryBudget] = None,
     ):
         self.workers = resolve_workers(workers)
-        self.mode = resolve_mode(mode)
         if retry_backoff < 0:
             raise ParameterError(
                 f"retry_backoff must be non-negative, got {retry_backoff}"
@@ -388,113 +290,65 @@ class ParallelExecutor:
         self.retry_backoff = float(retry_backoff)
         self.retry_budget = retry_budget
         self._run_ordinal = 0
-        self._start_method = start_method
-        self._pool = None  # ProcessPoolExecutor | ThreadPoolExecutor | None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
         # Pool lifecycle is shared mutable state; every transition happens
-        # under this lock and bumps the generation so concurrent runs can
-        # tell "the pool I submitted to broke" from "someone already
-        # rebuilt it for me".
+        # under this lock.
         self._lock = threading.RLock()
-        self._generation = 0
         self._active_cancel_events: set = set()
         self._active_runs = 0
         self._pool_disabled = self.workers <= 1
-        self._context = None
-        if not self._pool_disabled:
-            if self.mode == "process":
-                # Context resolution validates REPRO_START_METHOD /
-                # start_method eagerly — a typo must surface as
-                # ParameterError, not silently degrade to serial execution.
-                self._context = (
-                    multiprocessing.get_context(start_method)
-                    if start_method
-                    else _preferred_context()
-                )
-            self._build_pool()
+        self._ensure_pool()
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
 
-    def _build_pool(self) -> bool:
-        """(Re)create the worker pool; returns whether one is available."""
+    def _ensure_pool(self) -> Optional[ThreadPoolExecutor]:
+        """The live pool, building it (again, after an abandon) if needed."""
         with self._lock:
-            if self._pool_disabled:
-                return False
-            if self.mode == "thread":
+            if self._pool is None and not self._pool_disabled:
                 pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="repro-exec"
                 )
-            else:
-                try:
-                    pool = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        mp_context=self._context,
-                        initializer=_init_worker,
-                    )
-                except (OSError, ValueError, ImportError):  # pragma: no cover
-                    self._pool_disabled = True  # sandboxed platform: go serial
-                    self._pool = None
-                    return False
-            self._pool = pool
-            self._generation += 1
-            # Backstop for callers that skip the context manager: release
-            # the workers when the executor is collected.  The callback must
-            # not reference ``self`` or the executor would never be
-            # collected.
-            self._finalizer = weakref.finalize(self, _shutdown_pool, pool)
-            return True
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The live pool, rebuilding a previously abandoned one if needed."""
-        with self._lock:
-            if self._pool is None and not self._pool_disabled:
-                self._build_pool()
+                self._pool = pool
+                # Backstop for callers that skip the context manager:
+                # release the workers when the executor is collected.  The
+                # callback must not reference ``self`` or the executor
+                # would never be collected.
+                self._finalizer = weakref.finalize(self, _shutdown_pool, pool)
             return self._pool
 
-    def _pool_and_generation(self):
-        with self._lock:
-            self._ensure_pool()
-            return self._pool, self._generation
+    def _release_pool(self, abandon: bool) -> None:
+        """Drop the pool.  ``abandon`` returns at once and cancels queued
+        tasks; otherwise queued tasks finish and their threads are joined.
 
-    def _release_pool(self, wait_for_workers: bool) -> None:
+        Only the sole run in flight abandons: ``shutdown`` cancels a
+        queued future without waking a ``wait`` on it, so another run's
+        futures must never be cancelled under it.
+        """
         with self._lock:
             if self._finalizer is not None:
                 self._finalizer.detach()
                 self._finalizer = None
             pool, self._pool = self._pool, None
-            self._generation += 1
         if pool is not None:
-            pool.shutdown(wait=wait_for_workers, cancel_futures=True)
-
-    def _handle_breakage(self, seen_generation: int) -> None:
-        """Rebuild the pool after a breakage, at most once per generation.
-
-        Several concurrent runs may observe the same broken pool; the first
-        one through releases and rebuilds it, later arrivals see a newer
-        generation and leave the fresh pool alone.
-        """
-        with self._lock:
-            if self._generation != seen_generation:
-                return  # somebody already replaced (or closed) that pool
-            self._release_pool(wait_for_workers=False)
-            self._build_pool()
+            pool.shutdown(wait=not abandon, cancel_futures=abandon)
 
     def _abandon_pool_if_sole(self) -> None:
         """Drop a pool whose workers may still be running (deadline path).
 
-        ``shutdown(wait=False)`` signals the workers and returns
-        immediately; a shard that is mid-sleep keeps its doomed process
-        alive briefly but the query returns now.  The next ``run``/``map``
-        builds a fresh pool.  When *other* runs share this executor the
-        pool is left alone — their shards are still executing in it — and
-        only this run's pending futures are cancelled by the caller.
+        ``shutdown(wait=False)`` returns immediately; a shard that is
+        mid-sleep keeps its thread busy until it ends, but the query
+        returns now.  The next ``run``/``map`` builds a fresh pool.  When
+        *other* runs share this executor the pool is left alone — their
+        shards are still executing in it — and only this run's pending
+        futures are cancelled by the caller.
         """
         with self._lock:
             if self._active_runs > 1:
                 return
-            self._release_pool(wait_for_workers=False)
+            self._release_pool(abandon=True)
 
     @property
     def serial(self) -> bool:
@@ -502,30 +356,18 @@ class ParallelExecutor:
         return self._pool is None
 
     @property
-    def uses_processes(self) -> bool:
-        """True when tasks cross a process boundary (must be picklable).
-
-        Judged by the tier, not by whether a pool is up right now: a pool
-        dropped after a deadline is rebuilt by the next :meth:`run`, whose
-        tasks must already be picklable.
-        """
-        return not self._pool_disabled and self.mode == "process"
-
-    @property
-    def uses_threads(self) -> bool:
-        """True when tasks run on a thread pool in this process."""
-        return not self._pool_disabled and self.mode == "thread"
-
-    @property
     def mode_label(self) -> str:
-        """The tier actually executing tasks: serial, thread, or process."""
-        return "serial" if self.serial else self.mode
+        """The tier executing tasks right now: ``serial`` or ``thread``."""
+        return "serial" if self.serial else "thread"
 
     def close(self) -> None:
-        """Shut the pool down (idempotent); the executor turns serial."""
+        """Shut the pool down (idempotent); the executor turns serial.
+
+        Waits for the tasks already queued, so runs in flight finish.
+        """
         with self._lock:
             self._pool_disabled = True
-        self._release_pool(wait_for_workers=True)
+        self._release_pool(abandon=False)
 
     def cancel(self) -> None:
         """Cooperatively cancel every in-flight :meth:`run` (thread-safe).
@@ -548,21 +390,16 @@ class ParallelExecutor:
         """Apply ``fn`` to every task, returning results in task order.
 
         Strict surface: a task exception that survives the default retry
-        budget is re-raised.  A pool breakage triggers a rebuild and
-        resubmission of **only** the lost tasks; completed results are
-        never discarded or recomputed.  If no pool can be rebuilt, just
-        the unfinished remainder runs serially in-process.
+        budget is re-raised.  Tasks the pool did not finish — it was closed
+        under the call, or the run was cancelled — run in-process instead.
         """
         task_list: Sequence[T] = list(tasks)
         if self._ensure_pool() is None:
             return [fn(task) for task in task_list]
         outcome = self.run(fn, task_list)
         error = outcome.first_error()
-        if error is not None and not isinstance(error, BrokenProcessPool):
+        if error is not None and not isinstance(error, _PoolUnavailable):
             raise error
-        if outcome.all_completed:
-            return outcome.results
-        # Pool irrecoverably broken: finish the remainder in-process.
         results = list(outcome.results)
         for index, done in enumerate(outcome.completed):
             if not done:
@@ -576,15 +413,13 @@ class ParallelExecutor:
         *,
         deadline: Optional[float] = None,
         task_retries: int = DEFAULT_TASK_RETRIES,
-        pool_rebuilds: int = DEFAULT_POOL_REBUILDS,
     ) -> MapOutcome:
         """Resilient map: per-task futures, bounded retry, wall-clock budget.
 
         Parameters
         ----------
         fn, tasks:
-            As :meth:`map`; ``fn`` must be a module-level callable with
-            picklable arguments when a pool is used.
+            As :meth:`map`.
         deadline:
             Wall-clock budget in seconds for the whole call.  When it
             elapses, pending tasks are cancelled, running ones abandoned
@@ -592,12 +427,8 @@ class ParallelExecutor:
             reports ``deadline_hit=True`` with whatever completed.  The
             serial path checks the clock *between* tasks (cooperative).
         task_retries:
-            How many times one task is resubmitted after raising or being
-            lost to a broken pool, before its error is recorded.
-        pool_rebuilds:
-            How many pool breakages (worker death) one call survives.
-            Each breakage rebuilds the pool and resubmits only the tasks
-            that were in flight or queued; completed results are kept.
+            How many times one task is resubmitted after raising, before
+            its error is recorded.
 
         Never raises for task failures — inspect the returned
         :class:`MapOutcome`.
@@ -631,33 +462,22 @@ class ParallelExecutor:
         def out_of_time() -> bool:
             return deadline_at is not None and time.monotonic() >= deadline_at
 
+        serial = self._ensure_pool() is None
         try:
-            pool = self._ensure_pool()
-            if pool is None:
-                self._run_serial(
-                    fn, task_list, outcome, deadline_at, out_of_time,
-                    task_retries, cancel_event,
-                )
-            else:
-                self._run_pooled(
-                    fn,
-                    task_list,
-                    outcome,
-                    deadline_at,
-                    out_of_time,
-                    task_retries,
-                    pool_rebuilds,
-                    cancel_event,
-                )
+            engine = self._run_serial if serial else self._run_pooled
+            engine(
+                fn, task_list, outcome, deadline_at, out_of_time,
+                task_retries, cancel_event,
+            )
         finally:
             with self._lock:
                 self._active_cancel_events.discard(cancel_event)
                 self._active_runs -= 1
         outcome.elapsed = time.monotonic() - started
-        # Flush once, twice per family: the bare parent keeps the
-        # cross-tier total and the mode-labelled child records which tier
-        # (serial / thread / process) actually served the run.
-        mode = self.mode_label
+        # Flush once, twice per family: the bare parent keeps the total and
+        # the mode-labelled child records which tier (serial / thread)
+        # served the run.
+        mode = "serial" if serial else "thread"
         _M_RUNS.inc()
         _M_RUNS.labels(mode=mode).inc()
         _M_TASKS.inc(n)
@@ -666,8 +486,6 @@ class ParallelExecutor:
         _M_TASKS_COMPLETED.labels(mode=mode).inc(outcome.num_completed)
         _M_TASK_RETRIES.inc(outcome.task_retries)
         _M_TASK_RETRIES.labels(mode=mode).inc(outcome.task_retries)
-        _M_POOL_REBUILDS.inc(outcome.pool_rebuilds)
-        _M_POOL_REBUILDS.labels(mode=mode).inc(outcome.pool_rebuilds)
         if outcome.deadline_hit:
             _M_DEADLINE_EXPIRIES.inc()
             _M_DEADLINE_EXPIRIES.labels(mode=mode).inc()
@@ -745,34 +563,25 @@ class ParallelExecutor:
         deadline_at: Optional[float],
         out_of_time: Callable[[], bool],
         task_retries: int,
-        pool_rebuilds: int,
         cancel_event: threading.Event,
     ) -> None:
         attempts = [0] * len(task_list)
-        pending = {}  # future -> (task index, pool generation at submit)
+        pending = {}  # future -> task index
 
-        def submit(index: int) -> bool:
-            pool, generation = self._pool_and_generation()
-            if pool is None:
-                return False
+        def submit(index: int) -> None:
+            pool = self._ensure_pool()
             try:
-                pending[pool.submit(fn, task_list[index])] = (index, generation)
-                return True
-            except (BrokenProcessPool, RuntimeError):
-                return False
+                if pool is not None:
+                    pending[pool.submit(fn, task_list[index])] = index
+                    return
+            except RuntimeError:  # shut down between the lookup and submit
+                pass
+            outcome.errors[index] = _PoolUnavailable(
+                f"task {index}: the executor was closed"
+            )
 
-        submitted = 0
         for index in range(len(task_list)):
-            if not submit(index):
-                # Pool died before dispatch finished; the wait loop below
-                # will account for whatever made it in.
-                break
-            submitted += 1
-        if submitted < len(task_list):
-            for index in range(submitted, len(task_list)):
-                outcome.errors[index] = BrokenProcessPool(
-                    "process pool unavailable at submission"
-                )
+            submit(index)
 
         while pending:
             if cancel_event.is_set():
@@ -787,19 +596,12 @@ class ParallelExecutor:
             if not done:
                 outcome.deadline_hit = True
                 break
-            broken_generations: List[int] = []
             resubmit: List[int] = []
-            lost: List[int] = []
             for future in done:
-                index, generation = pending.pop(future)
+                index = pending.pop(future)
                 try:
                     outcome.results[index] = future.result()
                     outcome.completed[index] = True
-                except (BrokenProcessPool, CancelledError):
-                    # CancelledError: another thread closed or abandoned
-                    # the pool under us — same recovery as a breakage.
-                    broken_generations.append(generation)
-                    lost.append(index)
                 except Exception as exc:
                     attempts[index] += 1
                     if attempts[index] > task_retries or not self._may_retry():
@@ -808,40 +610,7 @@ class ParallelExecutor:
                         outcome.task_retries += 1
                         obs.event("retry", task=index, attempt=attempts[index])
                         resubmit.append(index)
-            if broken_generations:
-                # Every sibling future submitted to the same pool is doomed
-                # with it; fold those into the lost set so one breakage is
-                # handled once.  Futures already resubmitted to a *newer*
-                # pool are left pending.
-                doomed = set(broken_generations)
-                for future, (index, generation) in list(pending.items()):
-                    if generation in doomed:
-                        lost.append(index)
-                        del pending[future]
-                for generation in sorted(doomed):
-                    self._handle_breakage(generation)
-                outcome.pool_rebuilds += 1
-                if (
-                    outcome.pool_rebuilds > pool_rebuilds
-                    or self._ensure_pool() is None
-                ):
-                    for index in sorted(lost + resubmit):
-                        outcome.errors[index] = BrokenProcessPool(
-                            "process pool broke and the rebuild budget "
-                            f"({pool_rebuilds}) is exhausted"
-                        )
-                    break
-                # A lost task is charged an attempt: a shard that kills its
-                # worker every time must not break pools forever.
-                for index in sorted(lost):
-                    attempts[index] += 1
-                    if attempts[index] > task_retries or not self._may_retry():
-                        outcome.errors[index] = BrokenProcessPool(
-                            f"task {index} lost to {attempts[index]} pool breakages"
-                        )
-                    else:
-                        resubmit.append(index)
-            if (pending or resubmit) and out_of_time():
+            if resubmit and out_of_time():
                 outcome.deadline_hit = True
                 break
             for index in sorted(resubmit):
@@ -852,10 +621,7 @@ class ParallelExecutor:
                     # deadline expiry.
                     outcome.deadline_hit = True
                     break
-                if not submit(index):
-                    outcome.errors[index] = BrokenProcessPool(
-                        "process pool unavailable for retry"
-                    )
+                submit(index)
 
         if pending or outcome.deadline_hit or outcome.cancelled:
             for future in pending:
@@ -889,60 +655,43 @@ class ParallelExecutor:
 # ----------------------------------------------------------------------
 #
 # ``parallel_crashsim`` and friends used to build a fresh ParallelExecutor
-# per call when none was passed in — paying pool startup (tens to hundreds
-# of milliseconds for processes) on every query.  The default-executor
-# registry amortises that: one lazily-built executor per
-# (workers, resolved mode, start-method) key, shared by every driver call
-# in the process.  Teardown rides the executors' own ``weakref.finalize``
-# pool backstops, which the interpreter runs at exit for anything still
-# registered here.
+# per call when none was passed in — paying pool startup on every query.
+# The default-executor registry amortises that: one lazily-built executor
+# per worker count, shared by every driver call in the process.  Teardown
+# rides the executors' own ``weakref.finalize`` pool backstops, which the
+# interpreter runs at exit for anything still registered here.
 
-_DEFAULT_EXECUTORS: Dict[tuple, ParallelExecutor] = {}
+_DEFAULT_EXECUTORS: Dict[int, ParallelExecutor] = {}
 _DEFAULT_EXECUTORS_LOCK = threading.Lock()
 
 
-def get_default_executor(
-    workers: Optional[int] = None, *, mode: str = "auto"
-) -> ParallelExecutor:
-    """The process-wide shared executor for ``(workers, mode)``.
+def get_default_executor(workers: Optional[int] = None) -> ParallelExecutor:
+    """The process-wide shared executor for ``workers``.
 
     Built lazily on first use and kept for the life of the process, so
     repeated ``parallel_*`` calls (and ``api.single_source(workers=...)``)
     reuse one warm pool instead of paying pool construction per query.
     Callers must **not** close the returned executor; use
-    :func:`reset_default_executors` (tests, fault plans) to drop and
-    rebuild the registry.
-
-    The cache key includes the *resolved* mode (``auto`` collapses to
-    thread/process via :func:`resolve_mode`) and the current
-    ``REPRO_START_METHOD``, so flipping either in the environment yields a
-    fresh, matching executor rather than a stale cached one.
+    :func:`reset_default_executors` to drop and rebuild the registry.
     """
     resolved_workers = resolve_workers(workers)
-    resolved_mode = resolve_mode(mode)
-    key = (
-        resolved_workers,
-        resolved_mode,
-        os.environ.get("REPRO_START_METHOD"),
-    )
     with _DEFAULT_EXECUTORS_LOCK:
-        executor = _DEFAULT_EXECUTORS.get(key)
+        executor = _DEFAULT_EXECUTORS.get(resolved_workers)
         stale = executor is not None and (
             executor._pool_disabled and resolved_workers > 1
         )
         if executor is None or stale:
-            executor = ParallelExecutor(resolved_workers, mode=resolved_mode)
-            _DEFAULT_EXECUTORS[key] = executor
+            executor = ParallelExecutor(resolved_workers)
+            _DEFAULT_EXECUTORS[resolved_workers] = executor
         return executor
 
 
 def reset_default_executors() -> None:
     """Close and forget every shared default executor (idempotent).
 
-    Needed wherever pool inheritance matters: fault-injection plans set
-    environment variables that **forked/spawned workers read at pool
-    creation**, so a pool that predates the plan would never see it.
-    :func:`repro.faults.active` calls this on entry and exit.
+    Closing waits for the pools' threads to finish, so a caller that
+    wants no worker left running (a benchmark between workloads, a test
+    that counts threads) calls this first.
     """
     with _DEFAULT_EXECUTORS_LOCK:
         executors = list(_DEFAULT_EXECUTORS.values())

@@ -1,4 +1,4 @@
-"""The CrashSim trial driver: one sequence for serial, thread and process.
+"""The CrashSim trial driver: one sequence for serial and sharded queries.
 
 Algorithm 1's ``n_r`` Monte-Carlo trials are mutually independent, so every
 query — serial or sharded, fixed ``n_r`` or adaptive — runs the same five
@@ -13,9 +13,9 @@ steps, and each is written here once:
    function of the query shape, never of the worker count or the clock),
    each shard seeded by its own ``spawn`` child of the master
    :class:`~numpy.random.SeedSequence`;
-3. **run** — one shard body (:func:`_shard_body`) for the process worker
-   and the in-process closure alike, with the kernel ``accumulate*``
-   method chosen in one place (:func:`_accumulate`);
+3. **run** — one shard body (in :func:`_map_shards`), each shard on its
+   own RNG stream, with the kernel ``accumulate*`` method chosen in one
+   place (:func:`_accumulate`);
 4. **fold** — shard totals summed, or shard moments fed to the adaptive
    stopper, in shard order;
 5. **settle** — one fault rule (:func:`_settle`): a run with no completed
@@ -31,19 +31,11 @@ adaptive :func:`~repro.core.crashsim.crashsim` and
 one-stream case — every trial drawn from the caller's generator as one
 shard, the layout the pinned seed fixtures define.
 
-Two execution tiers share the plan (see
-:class:`~repro.parallel.executor.ParallelExecutor`):
-
-* **process** — workers receive a :class:`_ShardTask` carrying only
-  shared-memory specs (graph CSR, the source tree's sparse level arrays,
-  walk targets) plus the query's :class:`_Job`, a trial count and a seed —
-  a few hundred bytes per task; the megabyte-scale arrays are attached
-  zero-copy via :mod:`repro.parallel.shared_graph`;
-* **thread** (and the serial ``workers=1`` executor) — shards run as
-  in-process closures over the original graph, each pool thread scoring
-  through its own preallocated :class:`~repro.walks.kernel.WalkCrashKernel`
-  from a :class:`~repro.walks.kernel.KernelPool` (kernels are not
-  thread-safe); no pickling, no shared memory, no interpreter startup.
+Shards run as in-process closures over the query's arrays on a
+:class:`~repro.parallel.executor.ParallelExecutor` thread pool (or inline on
+the serial ``workers=1`` executor), each thread scoring through its own
+preallocated :class:`~repro.walks.kernel.WalkCrashKernel` from a
+:class:`~repro.walks.kernel.KernelPool` (kernels are not thread-safe).
 
 When no executor is passed in, drivers share the process-wide persistent
 default executor (:func:`~repro.parallel.executor.get_default_executor`)
@@ -57,14 +49,13 @@ walk-generation cost is still paid once per trial, not once per source.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -96,17 +87,6 @@ from repro.parallel.executor import (
     ParallelExecutor,
     get_default_executor,
 )
-from repro.parallel.shared_graph import (
-    ArraySpec,
-    SharedArray,
-    SharedGraph,
-    SharedGraphSpec,
-    SharedTree,
-    SharedTreeSpec,
-    attach_array,
-    attach_graph,
-    attach_tree,
-)
 from repro.rng import RngLike, as_seed_sequence, ensure_rng
 from repro.walks.kernel import DEFAULT_DENSE_ROW_BUDGET, KernelPool, WalkCrashKernel
 
@@ -131,17 +111,21 @@ DEFAULT_SHARDS = 16
 MAX_SHARDS = 64
 
 #: Nominal wall-clock target per shard (seconds).  Below ~20ms a shard's
-#: dispatch cost (submit, pickle or closure call, future wake-up) is no
+#: dispatch cost (submit, closure call, future wake-up) is no
 #: longer negligible against its compute, which is exactly what made the
 #: fixed 16-shard plan *slower* than serial on small queries.
 TARGET_SHARD_SECONDS = 0.02
 
-#: Nominal cost of one trial-walk per target (seconds), calibrated from
-#: the recorded kernel benchmarks (~20ms per 50k-target trial).  A fixed
-#: constant — **never** a measured probe — so the shard plan, and with it
-#: the RNG stream layout and every score bit, is identical on every
-#: machine and every run.
-NOMINAL_TARGET_TRIAL_SECONDS = 4e-7
+#: Nominal cost of one trial-walk per target (seconds).  Derived from the
+#: walk kernel as a sharded query runs it (dense ``U`` matrix, NumPy
+#: path, no numba): the pinned power-law fixture's top in-degree source
+#: scored against all 19,190 walk targets takes 300-310 ms for 128 trials
+#: on a 2-vCPU x86 runner with numpy 2.4.6, i.e. ~1.26e-7 s per
+#: target-trial, rounded to 1.3e-7.  That query plans 16 shards of 8
+#: trials (~24 ms each).  A fixed constant — **never** a measured probe —
+#: so the shard plan, and with it the RNG stream layout and every score
+#: bit, is identical on every machine and every run.
+NOMINAL_TARGET_TRIAL_SECONDS = 1.3e-7
 
 logger = logging.getLogger(__name__)
 
@@ -265,81 +249,24 @@ def _accumulate(kernel, job: _Job, tree, targets, trials, rng) -> np.ndarray:
     return kernel.accumulate(tree, targets, trials, l_max=job.l_max, rng=rng)
 
 
-def _shard_body(kernel, job: _Job, tree, targets, index, trials, seed):
-    """One trial shard on its own RNG stream, in any tier."""
-    faults.inject("shard", index)
-    return _accumulate(
-        kernel, job, tree, targets, trials, np.random.default_rng(seed)
-    )
-
-
-class _Published(NamedTuple):
-    """Shared-memory specs of one query's arrays (process tier only)."""
-
-    graph: SharedGraphSpec
-    tree: Union[SharedTreeSpec, ArraySpec]
-    targets: ArraySpec
-
-
 class _Inputs(NamedTuple):
     """What every round and shard of one query reads, set up once.
 
     ``tree`` is the sparse source tree, the query's dense ``U`` matrix
     (:func:`_fill_matrix`), or a multi-source job's stacked
-    ``(q, l_max + 1, n)`` array.  On the process tier ``published``
-    carries the specs the shards read instead — one publication serves
-    every round, retry and pool rebuild of the query.
+    ``(q, l_max + 1, n)`` array.
     """
 
     graph: object
     tree: object
     targets: np.ndarray
-    published: Optional[_Published] = None
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """A process-tier shard: shared-memory specs, the job, and the shard.
-
-    The hub cache rides along by value inside ``job`` — kilobytes of
-    tails, not worth a segment.
-    """
-
-    published: _Published
-    job: _Job
-    index: int
-    trials: int
-    seed: np.random.SeedSequence
-
-
-def _run_shard(task: _ShardTask) -> np.ndarray:
-    """Process-tier worker entry point: attach the arrays, run the shard."""
-    published = task.published
-    view = attach_graph(published.graph)
-    if isinstance(published.tree, ArraySpec):
-        tree, handle = attach_array(published.tree)
-        tree_handles = (handle,)
-    else:
-        tree, tree_handles = attach_tree(published.tree)
-    targets, targets_handle = attach_array(published.targets)
-    try:
-        kernel = WalkCrashKernel(view, task.job.c, sampler=task.job.sampler)
-        return _shard_body(
-            kernel, task.job, tree, targets, task.index, task.trials, task.seed
-        )
-    finally:
-        view.close()
-        for handle in tree_handles:
-            handle.close()
-        targets_handle.close()
 
 
 def _fill_matrix(tree, matrix: np.ndarray) -> np.ndarray:
     """Write the sparse tree's levels into the zero ``matrix``; return it.
 
     Every shard of a query reads the same rows.  Built once, the matrix
-    replaces a lazy row cache per shard, and on the process tier it is
-    written straight into the one segment every worker maps.  Built from
+    replaces a lazy row cache per shard.  Built from
     the level arrays, not ``SparseReverseTree.matrix``: that caches on the
     tree, which a serving engine's LRU keeps long after the query.
     """
@@ -347,37 +274,6 @@ def _fill_matrix(tree, matrix: np.ndarray) -> np.ndarray:
         nodes, probs = tree.level_arrays(step)
         matrix[step, nodes] = probs
     return matrix
-
-
-def _publish(
-    stack: contextlib.ExitStack,
-    graph,
-    tree,
-    targets: np.ndarray,
-    job: _Job,
-    *,
-    dense: bool,
-) -> _Published:
-    """Copy the query's arrays into shared memory once.
-
-    ``dense`` publishes the sparse ``tree`` as the query's dense ``U``
-    matrix, filled in place.  ``stack`` unlinks every segment when the
-    query ends — normally or by any exception — after the executor has
-    drained its workers.
-    """
-    publish_alias = job.sampler == "alias" and getattr(graph, "is_weighted", False)
-    shared_graph = stack.enter_context(SharedGraph(graph, publish_alias=publish_alias))
-    if dense:
-        shape = (job.l_max + 1, graph.num_nodes)
-        matrix = stack.enter_context(SharedArray.zeros(shape))
-        _fill_matrix(tree, matrix.array())
-        tree_spec = matrix.spec
-    elif isinstance(tree, np.ndarray):
-        tree_spec = stack.enter_context(SharedArray(tree)).spec
-    else:
-        tree_spec = stack.enter_context(SharedTree(tree)).spec()
-    targets_spec = stack.enter_context(SharedArray(targets)).spec
-    return _Published(shared_graph.spec(), tree_spec, targets_spec)
 
 
 # KernelPools are cached on the DiGraph itself (a dedicated slot), keyed by
@@ -394,7 +290,7 @@ def _kernel_pool(graph, *, c: float, sampler: str) -> KernelPool:
     the current effective setting in — flipping ``REPRO_JIT`` mid-process
     yields fresh kernels instead of stale ones.  Graphs that cannot carry
     the cache slot (foreign protocol objects) get an uncached pool, which
-    still provides the per-thread isolation the thread tier needs.
+    still provides the per-thread isolation the pool threads need.
     """
     from repro.walks import _jit
 
@@ -428,49 +324,43 @@ def _map_shards(
     deadline: Optional[float],
     index_offset: int = 0,
 ) -> MapOutcome:
-    """Run a slice of the shard plan on ``executor``'s tier, in shard order.
+    """Run a slice of the shard plan on ``executor``, in shard order.
 
-    The serial and thread tiers run shards as closures over the query's
-    arrays, each thread through its own :class:`KernelPool` kernel; the
-    process tier ships :class:`_ShardTask` s over the query's published
-    specs to :func:`_run_shard`.  ``index_offset`` keeps global shard
-    indices (the fault-injection identity) stable when the adaptive loop
-    maps one round at a time.  Lost or failed shards were retried per the
-    executor's policy; :func:`_settle` judges what is left.
+    Shards are closures over the query's arrays, each thread scoring
+    through its own :class:`KernelPool` kernel.  ``index_offset`` keeps
+    global shard indices (the fault-injection identity) stable when the
+    adaptive loop maps one round at a time.  Failed shards were retried
+    per the executor's policy; :func:`_settle` judges what is left.
     """
     indices = range(index_offset, index_offset + len(sizes))
-    if inputs.published is None:
-        kernels = _kernel_pool(inputs.graph, c=job.c, sampler=job.sampler)
+    kernels = _kernel_pool(inputs.graph, c=job.c, sampler=job.sampler)
 
-        def run_local_shard(item):
-            return _shard_body(
-                kernels.get(), job, inputs.tree, inputs.targets, *item
-            )
+    def run_shard(item):
+        index, trials, seed = item
+        faults.inject("shard", index)
+        return _accumulate(
+            kernels.get(), job, inputs.tree, inputs.targets, trials,
+            np.random.default_rng(seed),
+        )
 
-        items = list(zip(indices, sizes, seeds))
-        return _dispatch(executor, run_local_shard, items, deadline)
-    tasks = [
-        _ShardTask(inputs.published, job, index, trials, seed)
-        for index, trials, seed in zip(indices, sizes, seeds)
-    ]
-    return _dispatch(executor, _run_shard, tasks, deadline)
+    items = list(zip(indices, sizes, seeds))
+    return _dispatch(executor, run_shard, items, deadline)
 
 
 def _dispatch(executor: ParallelExecutor, fn, items, deadline) -> MapOutcome:
     """``executor.run`` in a ``shard_dispatch`` span, logging any recovery.
 
-    The executor already absorbed retries and pool rebuilds; the structured
-    record makes them visible to operators, who otherwise only see the
-    run's wall-clock stretch.
+    The executor already absorbed retries; the structured record makes them
+    visible to operators, who otherwise only see the run's wall-clock
+    stretch.
     """
     with obs.span("shard_dispatch", shards=len(items), mode=executor.mode_label):
         outcome = executor.run(fn, items, deadline=deadline)
-    if outcome.task_retries or outcome.pool_rebuilds:
+    if outcome.task_retries:
         logger.warning(
-            "shard execution recovered: task_retries=%d pool_rebuilds=%d "
+            "shard execution recovered: task_retries=%d "
             "shards=%d completed=%d elapsed=%.3fs",
             outcome.task_retries,
-            outcome.pool_rebuilds,
             len(items),
             outcome.num_completed,
             outcome.elapsed,
@@ -481,8 +371,8 @@ def _dispatch(executor: ParallelExecutor, fn, items, deadline) -> MapOutcome:
 def _remaining_budget(deadline: Optional[float], started: float) -> Optional[float]:
     """Deadline minus setup time already spent; raises once it is gone.
 
-    The tree build (and shared-memory publication) happen before any trial
-    shard runs; a deadline that cannot even cover setup has nothing partial
+    The tree build (and the dense matrix) happen before any trial shard
+    runs; a deadline that cannot even cover setup has nothing partial
     to return.
     """
     if deadline is None:
@@ -647,13 +537,13 @@ def _run_adaptive(
     started: float,
     log_context: dict,
 ) -> AdaptiveOutcome:
-    """Adaptive rounds over the shard plan, on any tier.
+    """Adaptive rounds over the shard plan.
 
     One deterministic plan + seed spawn covers the whole potential run;
     rounds are plan *slices* mapped through :func:`_map_shards`, the
     stopper folds completed shard moments in shard order, and the stop
     decision happens between rounds — so the result is byte-identical at
-    any worker count, on any tier, ``workers=1`` included.  The deadline
+    any worker count, ``workers=1`` included.  The deadline
     budget is re-measured before every round; an expiry mid-run keeps
     whatever rounds completed.
     """
@@ -715,7 +605,6 @@ def _run_trials(
     executor: Optional[ParallelExecutor] = None,
     shards: Optional[int] = None,
     deadline: Optional[float] = None,
-    mode: str = "auto",
     started: float = 0.0,
     log_context: Optional[dict] = None,
     kernel: Optional[WalkCrashKernel] = None,
@@ -729,11 +618,9 @@ def _run_trials(
     ``started`` and ``log_context`` are read only by sharded runs.
 
     A sharded query sets up once what all its rounds and shards read: the
-    hub cache, the dense ``U`` matrix (:func:`_fill_matrix`; for an
+    hub cache and the dense ``U`` matrix (:func:`_fill_matrix`; for an
     adaptive query, or a fixed one split over more than one shard, when it
-    fits the budget) and, on the process tier, one shared-memory
-    publication — the matrix written straight into its segment — that is
-    unlinked when the query ends.
+    fits the budget).
     """
     if deadline is not None and deadline <= 0:
         raise ParameterError(f"deadline must be positive, got {deadline}")
@@ -752,7 +639,7 @@ def _run_trials(
             totals = _accumulate(kernel, job, tree, targets, n_r, rng)
         return _Estimate(totals, n_r)
     if executor is None:
-        executor = get_default_executor(workers, mode=mode)
+        executor = get_default_executor(workers)
     seed_seq = as_seed_sequence(seed)
     sparse_trees = tree if multi else [tree]
     if multi:
@@ -787,39 +674,35 @@ def _run_trials(
         and (adaptive or len(plan) > 1)
         and matrix_bytes + reserved <= DEFAULT_DENSE_ROW_BUDGET
     )
-    with contextlib.ExitStack() as stack:
-        published = None
-        if executor.uses_processes:
-            published = _publish(stack, graph, tree, targets, job, dense=dense)
-        elif dense:
-            matrix = np.zeros((job.l_max + 1, graph.num_nodes), dtype=np.float64)
-            tree = _fill_matrix(tree, matrix)
-        inputs = _Inputs(graph, tree, targets, published)
-        if not adaptive:
-            return _run_fixed(
-                executor, inputs, job, params,
-                plan=plan,
-                seed_seq=seed_seq,
-                num_nodes=num_nodes,
-                shape=shape,
-                deadline=deadline,
-                started=started,
-                log_context=log_context,
-            )
-        # Per-walk ranges sum each sparse tree's level maxima in order; a
-        # numpy sum over the stacked rows may round differently.
-        bounds = [walk_value_bound(t, params.l_max) for t in sparse_trees]
-        outcome = _run_adaptive(
+    if dense:
+        matrix = np.zeros((job.l_max + 1, graph.num_nodes), dtype=np.float64)
+        tree = _fill_matrix(tree, matrix)
+    inputs = _Inputs(graph, tree, targets)
+    if not adaptive:
+        return _run_fixed(
             executor, inputs, job, params,
             plan=plan,
             seed_seq=seed_seq,
             num_nodes=num_nodes,
-            num_estimates=num_estimates,
-            value_bound=np.repeat(bounds, targets.size) if multi else bounds[0],
+            shape=shape,
             deadline=deadline,
             started=started,
             log_context=log_context,
         )
+    # Per-walk ranges sum each sparse tree's level maxima in order; a
+    # numpy sum over the stacked rows may round differently.
+    bounds = [walk_value_bound(t, params.l_max) for t in sparse_trees]
+    outcome = _run_adaptive(
+        executor, inputs, job, params,
+        plan=plan,
+        seed_seq=seed_seq,
+        num_nodes=num_nodes,
+        num_estimates=num_estimates,
+        value_bound=np.repeat(bounds, targets.size) if multi else bounds[0],
+        deadline=deadline,
+        started=started,
+        log_context=log_context,
+    )
     return _Estimate(
         outcome.totals.reshape(shape),
         outcome.trials_used,
@@ -923,7 +806,6 @@ def drive_single(
     executor: Optional[ParallelExecutor] = None,
     shards: Optional[int] = None,
     deadline: Optional[float] = None,
-    mode: str = "auto",
     kernel: Optional[WalkCrashKernel] = None,
 ) -> CrashSimResult:
     """One single-source query: prologue, trials, epilogue.
@@ -957,7 +839,6 @@ def drive_single(
         executor=executor,
         shards=shards,
         deadline=deadline,
-        mode=mode,
         started=started,
         log_context={"source": query.source, "seed": seed},
         kernel=kernel,
@@ -980,7 +861,6 @@ def drive_multi(
     executor: Optional[ParallelExecutor] = None,
     shards: Optional[int] = None,
     deadline: Optional[float] = None,
-    mode: str = "auto",
 ) -> List[CrashSimResult]:
     """One multi-source query: prologue, shared-walk trials, epilogue.
 
@@ -1017,7 +897,6 @@ def drive_multi(
         executor=executor,
         shards=shards,
         deadline=deadline,
-        mode=mode,
         started=started,
         log_context={"sources": source_list, "seed": seed},
     )
@@ -1047,7 +926,6 @@ def parallel_crashsim(
     deadline: Optional[float] = None,
     sampler: str = "cdf",
     tree=None,
-    mode: str = "auto",
     adaptive: bool = False,
 ) -> CrashSimResult:
     """Single-source CrashSim with the ``n_r`` trials sharded over workers.
@@ -1059,14 +937,8 @@ def parallel_crashsim(
     executor:
         Reuse an existing :class:`ParallelExecutor` across queries; the
         caller keeps ownership.  When omitted, the process-wide persistent
-        default executor for ``(workers, mode)`` is shared — pool start-up
-        is paid once per process, not once per query.
-    mode:
-        Execution tier when no ``executor`` is passed: ``"process"``,
-        ``"thread"``, or ``"auto"`` (default — threads when the nogil JIT
-        is active, processes otherwise; see
-        :func:`~repro.parallel.executor.resolve_mode`).  The tier never
-        affects scores, only where shards run.
+        default executor for ``workers`` is shared — pool start-up is paid
+        once per process, not once per query.
     tree:
         A prebuilt :class:`~repro.core.revreach.SparseReverseTree` for
         ``source`` (e.g. from a serving engine's LRU), validated against
@@ -1078,9 +950,9 @@ def parallel_crashsim(
         Trial-shard count; ``None`` (default) autotunes via
         :func:`plan_shards` (each shard worth ≥ ~20ms of walking, capped
         at :data:`MAX_SHARDS`).  Results depend on the shard plan (it
-        defines the RNG stream layout) but **not** on ``workers`` or
-        ``mode`` — the determinism contract is: same master seed + same
-        plan ⇒ identical scores at any worker count, on any tier.  Pass
+        defines the RNG stream layout) but **not** on ``workers`` — the
+        determinism contract is: same master seed + same plan ⇒ identical
+        scores at any worker count.  Pass
         ``shards=DEFAULT_SHARDS`` (16) to reproduce the legacy layout the
         pinned fixtures use.
     deadline:
@@ -1092,22 +964,20 @@ def parallel_crashsim(
         *nothing* completed.  ``None`` (default) never times out.
     sampler:
         Weighted neighbour-sampling strategy (``"cdf"`` default /
-        ``"alias"`` opt-in), forwarded to every shard's fused kernel; with
-        ``"alias"`` the per-node alias tables are published zero-copy
-        through the shared graph so workers skip the O(m) rebuild.
+        ``"alias"`` opt-in), forwarded to every shard's fused kernel.
     adaptive:
         Run the trials in geometrically growing rounds with empirical-
         Bernstein early stopping (:mod:`repro.core.adaptive`): rounds are
         slices of the same deterministic shard plan, the stop decision
         happens between rounds, and shard moments are folded in shard
         order — byte-identical to the serial ``crashsim(adaptive=True)``
-        at any worker count, on any tier.  Composes with ``deadline``: an
+        at any worker count.  Composes with ``deadline``: an
         expiry mid-run keeps completed rounds and reports whichever bound
         is better (inverted Lemma 3 or empirical Bernstein) — adaptive
         metadata is never worse than the fixed-path equivalent.
 
-    Lost shards (worker death, in-shard exceptions) are retried with a
-    rebuilt pool before being given up on; a run in which every shard
+    Failed shards (in-shard exceptions) are retried before being given up
+    on; a run in which every shard
     eventually completed — retried or not — is byte-identical to an
     undisturbed one, because shard totals are summed in shard order from
     per-shard RNG streams that never depend on scheduling.
@@ -1131,7 +1001,6 @@ def parallel_crashsim(
         executor=executor,
         shards=shards,
         deadline=deadline,
-        mode=mode,
     )
 
 
@@ -1148,7 +1017,6 @@ def parallel_crashsim_multi_source(
     shards: Optional[int] = None,
     deadline: Optional[float] = None,
     sampler: str = "cdf",
-    mode: str = "auto",
     adaptive: bool = False,
 ) -> List[CrashSimResult]:
     """Multi-source CrashSim with trial shards fanned out over workers.
@@ -1181,5 +1049,4 @@ def parallel_crashsim_multi_source(
         executor=executor,
         shards=shards,
         deadline=deadline,
-        mode=mode,
     )

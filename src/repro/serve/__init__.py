@@ -1,7 +1,7 @@
 """Long-lived query serving: a resident engine over one graph.
 
 Every standalone query pays the full setup bill — tree build, kernel
-buffers, process-pool start-up — and independent callers cannot share
+buffers, worker-pool start-up — and independent callers cannot share
 walks.  This package keeps all of that state resident:
 
 * :class:`~repro.serve.engine.Engine` — holds the graph, warm per-sampler

@@ -259,9 +259,7 @@ class EngineConfig:
     arrives (0 serves whatever is already queued, never sleeping);
     ``max_batch`` caps a batch.  ``tree_cache_size`` bounds the source-tree
     LRU.  ``workers`` is the persistent executor's worker count for
-    deadline queries (``None`` → CPU count); ``mode`` picks its execution
-    tier (``"process"``, ``"thread"``, or the default ``"auto"`` — see
-    :func:`repro.parallel.resolve_mode`).
+    deadline queries (``None`` → CPU count).
 
     Overload knobs:
 
@@ -312,7 +310,6 @@ class EngineConfig:
     tree_cache_size: int = 256
     workers: Optional[int] = None
     seed: Optional[int] = None
-    mode: str = "auto"
     max_queue_depth: Optional[int] = None
     shed_policy: str = "reject"
     breaker_threshold: int = 0
@@ -381,9 +378,6 @@ class EngineConfig:
             raise ParameterError(
                 f"retry_backoff must be non-negative, got {self.retry_backoff}"
             )
-        from repro.parallel import resolve_mode
-
-        resolve_mode(self.mode)  # validate eagerly; raises ParameterError
 
 
 @dataclass(frozen=True)
@@ -1222,7 +1216,6 @@ class Engine:
                     )
                 self._executor = ParallelExecutor(
                     self.config.workers,
-                    mode=self.config.mode,
                     retry_backoff=self.config.retry_backoff,
                     retry_budget=budget,
                 )

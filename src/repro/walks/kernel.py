@@ -44,8 +44,8 @@ Samplers
 * ``"cdf"`` (default) — weighted neighbour choice by inverse CDF over the
   global cumulative-weight array (``searchsorted`` + clip), byte-identical
   to the stepper.  Unweighted graphs always use the O(1) uniform gather.
-* ``"alias"`` — per-node Vose alias tables (cached on the graph, shipped
-  zero-copy through ``SharedGraph``): O(1) per weighted sample instead of
+* ``"alias"`` — per-node Vose alias tables (cached on the graph): O(1)
+  per weighted sample instead of
   O(log m).  Statistically exact but a *different* (still uniform) use of
   the same draws, so scores differ bit-wise from the cdf path — opt-in.
 
@@ -184,8 +184,8 @@ class WalkCrashKernel:
         Anything with the walk-facing protocol (``num_nodes``,
         ``in_indptr``, ``in_indices``, ``in_degrees()``, ``is_weighted`` /
         ``in_weights``, ``in_weight_totals()``) — a
-        :class:`~repro.graph.digraph.DiGraph` or a
-        :class:`~repro.parallel.CsrGraphView` over shared memory.
+        :class:`~repro.graph.digraph.DiGraph` or any object with the same
+        in-CSR arrays.
     c:
         SimRank decay factor; per-step continuation probability is √c.
     sampler:

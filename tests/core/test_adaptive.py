@@ -1,4 +1,4 @@
-"""Adaptive sampling: stopper math, hub cache, and cross-tier identity.
+"""Adaptive sampling: stopper math, hub cache, and cross-worker identity.
 
 Covers the contract of :mod:`repro.core.adaptive`:
 
@@ -9,8 +9,8 @@ Covers the contract of :mod:`repro.core.adaptive`:
 * :func:`build_hub_cache` / :func:`exact_expectation` — the backward
   recursion must agree with the guarantee suite's einsum oracle, and hub
   tails must be the estimator's exact conditional expectations;
-* end-to-end: an adaptive run is byte-identical across serial / thread /
-  process execution and any worker count, stops genuinely early on easy
+* end-to-end: an adaptive run is byte-identical between serial and pooled
+  execution at any worker count, stops genuinely early on easy
   instances, stays within ε of the exact expectation, and degrades with
   honest metadata when shards are lost.
 """
@@ -40,8 +40,8 @@ from repro.errors import DegradedResultWarning, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.parallel import parallel_crashsim, parallel_crashsim_multi_source
-from repro.parallel.shared_graph import CsrGraphView
 from repro.walks.kernel import WalkCrashKernel
+from tests.csr_view import CsrGraphView
 
 EPS = 0.1
 PARAMS = CrashSimParams(epsilon=EPS)
@@ -352,13 +352,11 @@ class TestAdaptiveEndToEnd:
         walkable = walkable[walkable != 3]
         assert np.abs(dense[walkable] - exact[walkable]).max() <= EPS
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_byte_identical_across_tiers(self, graph, mode, workers):
+    def test_byte_identical_across_worker_counts(self, graph, workers):
         serial = crashsim(graph, 3, params=PARAMS, seed=42, adaptive=True)
         parallel = parallel_crashsim(
-            graph, 3, params=PARAMS, seed=42, workers=workers, mode=mode,
-            adaptive=True,
+            graph, 3, params=PARAMS, seed=42, workers=workers, adaptive=True,
         )
         assert np.array_equal(serial.scores, parallel.scores)
         assert serial.trials_completed == parallel.trials_completed
@@ -377,15 +375,13 @@ class TestAdaptiveEndToEnd:
         serial = crashsim_multi_source(
             graph, sources, params=PARAMS, seed=99, adaptive=True
         )
-        for mode in ("thread", "process"):
-            parallel = parallel_crashsim_multi_source(
-                graph, sources, params=PARAMS, seed=99, workers=2, mode=mode,
-                adaptive=True,
-            )
-            for a, b in zip(serial, parallel):
-                assert np.array_equal(a.scores, b.scores)
-                assert a.trials_completed == b.trials_completed
-                assert a.stopped_early == b.stopped_early
+        parallel = parallel_crashsim_multi_source(
+            graph, sources, params=PARAMS, seed=99, workers=2, adaptive=True,
+        )
+        for a, b in zip(serial, parallel):
+            assert np.array_equal(a.scores, b.scores)
+            assert a.trials_completed == b.trials_completed
+            assert a.stopped_early == b.stopped_early
 
     def test_multi_source_crn_shares_one_trial_budget(self, graph):
         # CRN design: all sources stop together on the shared walk stream,
@@ -432,11 +428,11 @@ class TestAdaptiveEndToEnd:
         # A generous deadline must not perturb the adaptive plan: the run
         # converges before the budget matters and returns full quality.
         plain = parallel_crashsim(
-            graph, 3, params=PARAMS, seed=42, workers=2, mode="thread",
+            graph, 3, params=PARAMS, seed=42, workers=2,
             adaptive=True,
         )
         bounded = parallel_crashsim(
-            graph, 3, params=PARAMS, seed=42, workers=2, mode="thread",
+            graph, 3, params=PARAMS, seed=42, workers=2,
             adaptive=True, deadline=60.0,
         )
         assert np.array_equal(plain.scores, bounded.scores)
@@ -454,7 +450,7 @@ class TestAdaptiveDegradation:
             with pytest.warns(DegradedResultWarning):
                 result = parallel_crashsim(
                     graph, 3, params=params, seed=123, workers=2,
-                    mode="thread", shards=16, adaptive=True,
+                    shards=16, adaptive=True,
                 )
         assert result.degraded
         assert not result.stopped_early
@@ -467,7 +463,8 @@ class TestAdaptiveDegradation:
     def test_serial_adaptive_degrades_like_the_sharded_driver(self, graph):
         # Serial adaptive is the workers=1 case of the sharded driver, so a
         # persistently failing shard degrades it the same way.  ε is too
-        # tight for 2,000 trials (12 autotuned shards) to converge.
+        # tight for 2,000 trials to converge; 296 walk targets plan 4
+        # autotuned shards of 500, so losing shard 1 leaves 1,500.
         params = CrashSimParams(epsilon=0.005, n_r_override=2000)
         with faults.active({"shard": {"1": {"kind": "raise", "times": 99}}}):
             with pytest.warns(DegradedResultWarning):
@@ -475,10 +472,10 @@ class TestAdaptiveDegradation:
             with pytest.warns(DegradedResultWarning):
                 sharded = parallel_crashsim(
                     graph, 3, params=params, seed=42, workers=2,
-                    mode="thread", adaptive=True,
+                    adaptive=True,
                 )
         assert serial.degraded and not serial.stopped_early
-        assert serial.trials_completed == 2000 - 167
+        assert serial.trials_completed == 2000 - 500
         assert np.array_equal(serial.scores, sharded.scores)
         assert serial.achieved_epsilon == sharded.achieved_epsilon
 
@@ -495,7 +492,7 @@ class TestAdaptiveDegradation:
         # about the wider ε yet is NOT degraded — it did everything asked.
         params = CrashSimParams(epsilon=0.025, n_r_override=64)
         result = parallel_crashsim(
-            graph, 3, params=params, seed=123, workers=2, mode="thread",
+            graph, 3, params=params, seed=123, workers=2,
             shards=16, adaptive=True,
         )
         assert not result.degraded

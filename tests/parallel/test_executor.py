@@ -1,21 +1,16 @@
 """ParallelExecutor: serial fallback, ordering, lifecycle, resilience."""
 
 import gc
-import multiprocessing
-import os
 import threading
 import time
-import uuid
 
 import pytest
 
-from repro import faults
 from repro.errors import ParameterError
 from repro.parallel import ParallelExecutor, resolve_workers, shard_sizes
 
 
 def _square(x):
-    # Module-level so it pickles under every start method.
     return x * x
 
 
@@ -28,30 +23,6 @@ def _fail_on_three(x):
 def _sleep_tenth(x):
     time.sleep(0.1)
     return x
-
-
-def _record_run(arg):
-    """Record this execution as a unique file, then hit the fault site.
-
-    The file name carries the executing pid, so a test can prove both how
-    many times each task ran and that nothing ran in the parent process.
-    """
-    index, directory = arg
-    path = os.path.join(
-        directory, f"ran-{index}-{os.getpid()}-{uuid.uuid4().hex}"
-    )
-    with open(path, "w"):
-        pass
-    faults.inject("exec", index)
-    return index
-
-
-def _executions(directory, index):
-    return [
-        name
-        for name in os.listdir(directory)
-        if name.startswith(f"ran-{index}-")
-    ]
 
 
 class TestResolveWorkers:
@@ -104,7 +75,7 @@ class TestSerialFallback:
             assert executor.map(_square, range(20)) == [i * i for i in range(20)]
 
 
-class TestProcessPool:
+class TestThreadPool:
     def test_pool_map_ordered(self):
         with ParallelExecutor(2) as executor:
             assert not executor.serial
@@ -125,45 +96,20 @@ class TestProcessPool:
 @pytest.fixture
 def pool_executor():
     executor = ParallelExecutor(2)
-    if executor.serial:
-        executor.close()
-        pytest.skip("process pools unavailable on this platform")
     yield executor
     executor.close()
-
-
-class TestStartMethodEnv:
-    def test_invalid_env_value_rejected_by_name(self, monkeypatch):
-        monkeypatch.setenv("REPRO_START_METHOD", "bogus")
-        with pytest.raises(ParameterError) as excinfo:
-            ParallelExecutor(2)
-        message = str(excinfo.value)
-        assert "REPRO_START_METHOD" in message
-        assert "bogus" in message
-        for method in multiprocessing.get_all_start_methods():
-            assert method in message
-
-    def test_serial_executor_ignores_env(self, monkeypatch):
-        # workers=1 never resolves a context, so a broken variable must
-        # not block the serial path.
-        monkeypatch.setenv("REPRO_START_METHOD", "bogus")
-        with ParallelExecutor(1) as executor:
-            assert executor.map(_square, [3]) == [9]
 
 
 class TestPoolRelease:
     def test_finalizer_releases_pool_on_gc(self):
         executor = ParallelExecutor(2)
-        if executor.serial:
-            executor.close()
-            pytest.skip("process pools unavailable on this platform")
         pool = executor._pool
         finalizer = executor._finalizer
         assert finalizer.alive
         del executor
         gc.collect()
         assert not finalizer.alive
-        assert pool._shutdown_thread  # shutdown() reached the pool
+        assert pool._shutdown  # shutdown() reached the pool
 
     def test_close_detaches_finalizer(self, pool_executor):
         finalizer = pool_executor._finalizer
@@ -210,31 +156,36 @@ class TestRunSemantics:
         assert outcome.num_completed >= 1
 
 
-class TestPoolBreakage:
-    def test_run_resubmits_only_lost_tasks(self, pool_executor):
-        # Task 0 kills its worker once.  The pool is rebuilt, the lost
-        # task retried exactly once, and every completed result is kept —
-        # proven by the per-execution files: task 0 ran twice, and no
-        # task ran in the parent process.
-        with faults.active({"exec": {"0": {"kind": "kill"}}}) as markers:
-            tasks = [(index, markers) for index in range(8)]
-            outcome = pool_executor.run(_record_run, tasks)
-            assert outcome.all_completed
-            assert outcome.results == list(range(8))
-            assert outcome.pool_rebuilds == 1
-            assert len(_executions(markers, 0)) == 2
-            parent = str(os.getpid())
-            for index in range(8):
-                for name in _executions(markers, index):
-                    assert name.split("-")[2] != parent
+class TestCloseUnderARun:
+    def test_close_lets_a_run_in_flight_finish(self, pool_executor):
+        timer = threading.Timer(0.15, pool_executor.close)
+        timer.start()
+        try:
+            outcome = pool_executor.run(_sleep_tenth, range(8))
+        finally:
+            timer.join()
+        assert outcome.all_completed
+        assert outcome.results == list(range(8))
+        assert pool_executor.serial
 
-    def test_map_keeps_completed_results_across_breakage(self, pool_executor):
-        with faults.active({"exec": {"2": {"kind": "kill"}}}) as markers:
-            tasks = [(index, markers) for index in range(8)]
-            results = pool_executor.map(_record_run, tasks)
-            assert results == list(range(8))
-            assert len(_executions(markers, 2)) == 2
-            parent = str(os.getpid())
-            for index in range(8):
-                for name in _executions(markers, index):
-                    assert name.split("-")[2] != parent
+    def test_map_runs_a_retry_the_closed_pool_refused(self):
+        # Task 0 fails once and backs off for at least 0.5s; the executor
+        # is closed meanwhile, so no pool can take the retry and map runs
+        # it in-process instead of losing it.
+        attempts = []
+
+        def flaky(x):
+            attempts.append(x)
+            if x == 0 and attempts.count(0) == 1:
+                raise ValueError("first attempt")
+            return x
+
+        executor = ParallelExecutor(2, retry_backoff=0.5)
+        timer = threading.Timer(0.2, executor.close)
+        timer.start()
+        try:
+            assert executor.map(flaky, range(4)) == [0, 1, 2, 3]
+        finally:
+            timer.join()
+        assert attempts.count(0) == 2
+        assert executor.serial

@@ -1,16 +1,12 @@
-"""Thread-tier execution: byte-identity, fault recovery, pools, autotuning.
+"""Thread-pool execution: byte-identity, fault recovery, pools, autotuning.
 
-The determinism contract (docs/internals.md §13) says the execution tier
+The determinism contract (docs/internals.md §13) says the worker count
 can never touch a score bit: the shard plan defines the per-shard RNG
-streams, totals are summed in shard order, so serial / thread / process
-runs of the same plan are byte-identical.  This suite pins that for the
-thread tier specifically, plus the machinery that makes threads worth
-having: per-thread kernel pools, the persistent default executor, the
-autotuned shard planner, and the mode-labelled executor metrics.
-
-Thread-tier fault injection uses ``raise`` / ``delay`` kinds only — a
-``kill`` fault SIGKILLs the *calling* process on the thread tier, which is
-exactly why ``resolve_mode`` documentation steers chaos plans at processes.
+streams and totals are summed in shard order, so serial and pooled runs
+of the same plan are byte-identical.  This suite pins that, plus the
+machinery that makes threads worth having: per-thread kernel pools, the
+persistent default executor, the autotuned shard planner, and the
+mode-labelled executor metrics.
 """
 
 import threading
@@ -62,23 +58,20 @@ class TestThreadTierIdentity:
         )
         threaded = parallel_crashsim(
             random_graph, 3, params=PARAMS, seed=42, workers=workers,
-            mode="thread",
         )
         assert to_hex(threaded.scores) == to_hex(serial.scores)
         assert np.array_equal(threaded.candidates, serial.candidates)
 
-    def test_thread_matches_process_plan(self, random_graph):
-        # Same explicit plan on both tiers ⇒ same bits (the tier only
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_explicit_plan_matches_serial(self, random_graph, workers):
+        # Same explicit plan at any worker count ⇒ same bits (the pool only
         # decides *where* shards run, never which RNG stream they get).
         threaded = parallel_crashsim(
-            random_graph, 0, params=PARAMS, seed=7, workers=2, mode="thread",
-            shards=16,
+            random_graph, 0, params=PARAMS, seed=7, workers=workers, shards=16
         )
-        with ParallelExecutor(2, mode="process") as executor:
-            reference = parallel_crashsim(
-                random_graph, 0, params=PARAMS, seed=7, executor=executor,
-                shards=16,
-            )
+        reference = parallel_crashsim(
+            random_graph, 0, params=PARAMS, seed=7, workers=1, shards=16
+        )
         assert to_hex(threaded.scores) == to_hex(reference.scores)
 
     def test_matches_classic_serial_estimator_layout(self, random_graph):
@@ -86,7 +79,7 @@ class TestThreadTierIdentity:
         # both differ from the unsharded crashsim() stream — the sharded
         # scheme is its own (documented) RNG layout.
         sharded = parallel_crashsim(
-            random_graph, 5, params=PARAMS, seed=11, workers=2, mode="thread"
+            random_graph, 5, params=PARAMS, seed=11, workers=2
         )
         unsharded = crashsim(random_graph, 5, params=PARAMS, seed=11)
         assert sharded.scores.shape == unsharded.scores.shape
@@ -101,23 +94,22 @@ class TestThreadTierIdentity:
         )
         threaded = parallel_crashsim_multi_source(
             random_graph, [0, 3, 9], params=PARAMS, seed=13, workers=workers,
-            mode="thread",
         )
         assert len(threaded) == len(serial)
         for ours, theirs in zip(threaded, serial):
             assert to_hex(ours.scores) == to_hex(theirs.scores)
 
     def test_jit_env_leg_matches_serial(self, random_graph, monkeypatch):
-        # With REPRO_JIT=1, auto resolves to threads when numba is
-        # importable and to processes otherwise; either way the bits match
-        # the serial reference.  (The dedicated numba CI leg runs this with
-        # the compiled stepper actually active.)
+        # With REPRO_JIT=1 the pool threads run the compiled stepper when
+        # numba is importable and the NumPy kernel otherwise; either way
+        # the bits match the serial reference.  (The dedicated numba CI leg
+        # runs this with the compiled stepper actually active.)
         serial = parallel_crashsim(
             random_graph, 3, params=PARAMS, seed=21, workers=1
         )
         monkeypatch.setenv("REPRO_JIT", "1")
         result = parallel_crashsim(
-            random_graph, 3, params=PARAMS, seed=21, workers=2, mode="thread"
+            random_graph, 3, params=PARAMS, seed=21, workers=2
         )
         assert to_hex(result.scores) == to_hex(serial.scores)
 
@@ -136,7 +128,7 @@ class TestThreadTierFaults:
         with faults.active(plan):
             result = parallel_crashsim(
                 random_graph, 0, params=PARAMS, seed=42, workers=2,
-                mode="thread", shards=16,
+                shards=16,
             )
         assert not result.degraded
         assert to_hex(result.scores) == to_hex(reference.scores)
@@ -147,60 +139,48 @@ class TestThreadTierFaults:
             with pytest.warns(DegradedResultWarning):
                 result = parallel_crashsim(
                     random_graph, 0, params=PARAMS, seed=42, workers=2,
-                    mode="thread", shards=16,
+                    shards=16,
                 )
         assert result.degraded
         assert 0 < result.trials_completed < result.n_r
 
 
 # ---------------------------------------------------------------------------
-# Executor surface: mode resolution, properties, persistent defaults
+# Executor surface: tier resolution, properties, persistent defaults
 # ---------------------------------------------------------------------------
 
 
-class TestExecutorModes:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            ParallelExecutor(2, mode="fibers")
-        with pytest.raises(ParameterError):
-            resolve_mode("fibers")
-
-    def test_auto_resolves_to_concrete_tier(self):
-        assert resolve_mode("auto") in ("thread", "process")
-        assert resolve_mode("thread") == "thread"
-        assert resolve_mode("process") == "process"
-
-    def test_auto_prefers_threads_only_with_jit(self, monkeypatch):
-        from repro.walks import _jit
-
+class TestExecutorSurface:
+    def test_auto_resolves_to_thread(self, monkeypatch):
+        # One tier: REPRO_JIT only changes the kernel, never the tier.
+        assert resolve_mode("auto") == "thread"
+        assert resolve_mode() == "thread"
         monkeypatch.setenv("REPRO_JIT", "1")
-        expected = "thread" if _jit.available() else "process"
-        assert resolve_mode("auto") == expected
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert resolve_mode("auto") == "process"
+        assert resolve_mode("auto") == "thread"
+
+    def test_retired_tiers_rejected(self):
+        for mode in ("process", "fibers"):
+            with pytest.raises(ParameterError):
+                resolve_mode(mode)
 
     def test_thread_executor_properties(self):
-        with ParallelExecutor(2, mode="thread") as executor:
-            assert executor.uses_threads
-            assert not executor.uses_processes
+        with ParallelExecutor(2) as executor:
             assert not executor.serial
             assert executor.mode_label == "thread"
             assert "thread" in repr(executor)
 
     def test_serial_executor_properties(self):
-        executor = ParallelExecutor(1, mode="thread")
+        executor = ParallelExecutor(1)
         assert executor.serial
-        assert not executor.uses_threads
-        assert not executor.uses_processes
         assert executor.mode_label == "serial"
 
     def test_thread_pool_actually_runs_tasks(self):
-        with ParallelExecutor(2, mode="thread") as executor:
+        with ParallelExecutor(2) as executor:
             idents = executor.map(lambda _: threading.get_ident(), range(8))
         assert len(idents) == 8
 
     def test_run_flushes_mode_labelled_metrics(self):
-        with ParallelExecutor(2, mode="thread") as executor:
+        with ParallelExecutor(2) as executor:
             executor.run(lambda x: x, [1, 2, 3])
         snapshot = obs.REGISTRY.snapshot()
         assert snapshot['repro_executor_runs_total{mode="thread"}'] >= 1
@@ -211,18 +191,18 @@ class TestDefaultExecutors:
     def test_same_key_returns_same_instance(self):
         reset_default_executors()
         try:
-            first = get_default_executor(2, mode="thread")
-            second = get_default_executor(2, mode="thread")
+            first = get_default_executor(2)
+            second = get_default_executor(2)
             assert first is second
-            assert get_default_executor(2, mode="process") is not first
+            assert get_default_executor(3) is not first
         finally:
             reset_default_executors()
 
     def test_reset_closes_and_forgets(self):
-        executor = get_default_executor(2, mode="thread")
+        executor = get_default_executor(2)
         reset_default_executors()
         assert executor.serial  # closed ⇒ pool gone
-        assert get_default_executor(2, mode="thread") is not executor
+        assert get_default_executor(2) is not executor
         reset_default_executors()
 
     def test_drivers_share_the_default_executor(self, random_graph):
@@ -230,15 +210,13 @@ class TestDefaultExecutors:
         try:
             parallel_crashsim(
                 random_graph, 0, params=PARAMS, seed=1, workers=2,
-                mode="thread",
             )
-            executor = get_default_executor(2, mode="thread")
+            executor = get_default_executor(2)
             assert not executor.serial  # still open: drivers never close it
             parallel_crashsim(
                 random_graph, 0, params=PARAMS, seed=2, workers=2,
-                mode="thread",
             )
-            assert get_default_executor(2, mode="thread") is executor
+            assert get_default_executor(2) is executor
         finally:
             reset_default_executors()
 
@@ -287,6 +265,13 @@ class TestPlanShards:
         # The 120-node fixture query: parallel dispatch cannot win, so the
         # plan must not force 16 dispatches of ~1ms each.
         assert plan_shards(64, 119) == [64]
+
+    def test_fixture_all_node_query_plan(self):
+        # The pinned power-law fixture's top in-degree source against all
+        # 19,190 walk targets: 16 shards of 8 trials (~24 ms each) at
+        # n_r=128, enough for two threads without 2-trial slivers.
+        assert plan_shards(128, 19_190) == [8] * 16
+        assert plan_shards(64, 19_190) == [8] * 8
 
     def test_large_query_splits_to_cap(self):
         plan = plan_shards(512, 50_000)

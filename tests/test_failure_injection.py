@@ -4,9 +4,8 @@ DESIGN.md §6 commits to: empty graphs, dead-end nodes, isolated sources,
 single-snapshot intervals, Ω = ∅, and deltas touching missing nodes.
 
 The chaos suite (``TestChaos*``) exercises the resilience layer of
-docs/internals.md §9 with :mod:`repro.faults`: worker processes killed
-mid-query, shards stalled past a deadline, in-shard exceptions, and
-mid-push failures in the streaming session — asserting recovery is
+docs/internals.md §9 with :mod:`repro.faults`: shards stalled past a
+deadline, in-shard exceptions, and mid-push failures in the streaming session — asserting recovery is
 bit-exact, degradation is honestly labelled, and the inverted Lemma-3
 ``achieved_epsilon`` empirically bounds the error against the Power
 Method ground truth.
@@ -40,7 +39,7 @@ from repro.faults import InjectedFault
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import evolve_snapshots, preferential_attachment
 from repro.graph.temporal import EdgeDelta, TemporalGraphBuilder
-from repro.parallel import ParallelExecutor, parallel_crashsim
+from repro.parallel import parallel_crashsim
 
 PARAMS = CrashSimParams(c=0.6, epsilon=0.1, n_r_override=20)
 
@@ -212,15 +211,6 @@ def ground_truth(chaos_graph):
     return power_method_all_pairs(chaos_graph, PARAMS64.c)[0]
 
 
-@pytest.fixture(scope="module")
-def pool_available():
-    probe = ParallelExecutor(2)
-    serial = probe.serial
-    probe.close()
-    if serial:
-        pytest.skip("process pools unavailable on this platform")
-
-
 def _assert_bound_holds(result, ground_truth):
     """The inverted Lemma-3 bound must cover the actual max error."""
     assert result.achieved_epsilon is not None
@@ -230,40 +220,33 @@ def _assert_bound_holds(result, ground_truth):
 
 
 class TestChaosStatic:
-    def test_worker_kill_recovers_bit_identical(
-        self, pinned, chaos_graph, pool_available
+    def test_kill_plan_is_rejected(self):
+        # Shards run on threads of the calling process, so a fault that
+        # killed its process would kill the caller: no such kind exists.
+        with pytest.raises(InjectedFault, match="kill"):
+            with faults.active({"shard": {"3": {"kind": "kill"}}}):
+                pass  # pragma: no cover - never entered
+        assert not faults.enabled()
+
+    def test_in_shard_exception_retried_to_full_quality(
+        self, pinned, chaos_graph
     ):
-        # One worker is SIGKILLed the first time shard 3 starts; the pool
-        # is rebuilt, the shard retried with its own seed, and the final
-        # scores match the pinned undisturbed bits exactly.
-        with faults.active({"shard": {"3": {"kind": "kill"}}}) as markers:
+        # Shard 5 raises twice, succeeds on the third attempt (within the
+        # default retry budget): full-quality result with the pinned
+        # undisturbed bits, the shard retried with its own seed.
+        plan = {"shard": {"5": {"kind": "raise", "times": 2}}}
+        with faults.active(plan) as markers:
             result = parallel_crashsim(
                 chaos_graph, 0, params=PARAMS64, seed=123, workers=2,
                 shards=16,
             )
-            assert (pathlib.Path(markers) / "shard-3-0").exists()
+            assert (pathlib.Path(markers) / "shard-5-1").exists()
         assert not result.degraded
         assert result.trials_completed == result.n_r
         assert result.candidates.tolist() == pinned["parallel_w1"]["candidates"]
         assert to_hex(result.scores) == pinned["parallel_w1"]["scores"]
 
-    def test_in_shard_exception_retried_to_full_quality(
-        self, pinned, chaos_graph, pool_available
-    ):
-        # Shard 5 raises twice, succeeds on the third attempt (within the
-        # default retry budget): full-quality, bit-identical result.
-        plan = {"shard": {"5": {"kind": "raise", "times": 2}}}
-        with faults.active(plan):
-            result = parallel_crashsim(
-                chaos_graph, 0, params=PARAMS64, seed=123, workers=2,
-                shards=16,
-            )
-        assert not result.degraded
-        assert to_hex(result.scores) == pinned["parallel_w1"]["scores"]
-
-    def test_persistent_shard_failure_degrades(
-        self, chaos_graph, ground_truth, pool_available
-    ):
+    def test_persistent_shard_failure_degrades(self, chaos_graph, ground_truth):
         # Shard 5 fails every attempt: its 4 trials are lost, the run is
         # flagged degraded, and the widened bound still covers the error.
         plan = {"shard": {"5": {"kind": "raise", "times": 32}}}
@@ -280,9 +263,7 @@ class TestChaosStatic:
         )
         _assert_bound_holds(result, ground_truth)
 
-    def test_deadline_with_stalled_shard_degrades(
-        self, chaos_graph, ground_truth, pool_available
-    ):
+    def test_deadline_with_stalled_shard_degrades(self, chaos_graph, ground_truth):
         # Shard 2 sleeps far past the deadline; the query returns at the
         # deadline with the other shards averaged, not after the stall.
         plan = {"shard": {"2": {"kind": "delay", "seconds": 10}}}
@@ -304,14 +285,14 @@ class TestChaosStatic:
         assert 0 < result.trials_completed < result.n_r
         _assert_bound_holds(result, ground_truth)
 
-    def test_single_source_kill_plan_respects_deadline(
-        self, chaos_graph, ground_truth, pool_available
+    def test_single_source_failing_shard_respects_deadline(
+        self, chaos_graph, ground_truth
     ):
-        # The facade acceptance path: a shard that kills its worker on
-        # every attempt exhausts the retry/rebuild budgets, and
-        # single_source(..., deadline=...) still returns inside the budget
-        # with an honestly-labelled ScoreVector.
-        plan = {"shard": {"15": {"kind": "kill", "times": 32}}}
+        # The facade acceptance path: a shard that raises on every attempt
+        # exhausts the retry budget, and single_source(..., deadline=...)
+        # still returns inside the budget with an honestly-labelled
+        # ScoreVector.
+        plan = {"shard": {"15": {"kind": "raise", "times": 32}}}
         with faults.active(plan):
             started = time.monotonic()
             with pytest.warns(DegradedResultWarning):

@@ -167,11 +167,11 @@ class TestAdaptiveGuarantee:
         graph = erdos_renyi(200, 1000, seed=11)
         params = CrashSimParams(epsilon=0.05)
         plain = parallel_crashsim(
-            graph, 0, params=params, seed=SEED, workers=2, mode="thread",
+            graph, 0, params=params, seed=SEED, workers=2,
             adaptive=True,
         )
         bounded = parallel_crashsim(
-            graph, 0, params=params, seed=SEED, workers=2, mode="thread",
+            graph, 0, params=params, seed=SEED, workers=2,
             adaptive=True, deadline=120.0,
         )
         assert np.array_equal(plain.scores, bounded.scores)

@@ -125,16 +125,6 @@ class TestJitIsPinned:
         )
         assert to_hex(result.scores) == pinned["parallel_w1"]["scores"]
 
-    def test_thread_tier_workers4(self, pinned, graph, monkeypatch):
-        # The nogil thread tier runs the same compiled stepper through
-        # per-thread pooled kernels — same shard plan, same bits.
-        monkeypatch.setenv("REPRO_JIT", "1")
-        result = parallel_crashsim(
-            graph, 0, params=PARAMS, seed=123, workers=4, shards=16,
-            mode="thread",
-        )
-        assert to_hex(result.scores) == pinned["parallel_w1"]["scores"]
-
     def test_temporal_session(self, pinned, graph, monkeypatch):
         monkeypatch.setenv("REPRO_JIT", "1")
         _, jit_history = run_session(graph)

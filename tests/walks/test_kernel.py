@@ -24,11 +24,11 @@ from repro.core.revreach import revreach_levels
 from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph, build_alias_tables
 from repro.graph.generators import preferential_attachment
-from repro.parallel.shared_graph import CsrGraphView
 from repro.rng import ensure_rng
 from repro.walks import _jit
 from repro.walks.engine import BatchWalkStepper
 from repro.walks.kernel import WalkCrashKernel
+from tests.csr_view import CsrGraphView
 
 C = 0.6
 L_MAX = 11
