@@ -363,6 +363,25 @@ class TestAdaptiveEndToEnd:
         assert serial.stopped_early == parallel.stopped_early
         assert serial.achieved_epsilon == parallel.achieved_epsilon
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_explicit_plan_byte_identical_across_worker_counts(
+        self, graph, workers
+    ):
+        # An explicit 16-shard plan runs its rounds on the pool: the stop
+        # decision and every bit match the inline run of the same plan.
+        inline = parallel_crashsim(
+            graph, 3, params=PARAMS, seed=42, workers=1, shards=16,
+            adaptive=True,
+        )
+        pooled = parallel_crashsim(
+            graph, 3, params=PARAMS, seed=42, workers=workers, shards=16,
+            adaptive=True,
+        )
+        assert np.array_equal(inline.scores, pooled.scores)
+        assert inline.trials_completed == pooled.trials_completed
+        assert inline.stopped_early == pooled.stopped_early
+        assert inline.achieved_epsilon == pooled.achieved_epsilon
+
     def test_jit_toggle_does_not_change_bits(self, graph, monkeypatch):
         baseline = crashsim(graph, 3, params=PARAMS, seed=42, adaptive=True)
         monkeypatch.setenv("REPRO_JIT", "1")

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.errors import ParameterError
 from repro.parallel import ParallelExecutor, resolve_workers, shard_sizes
 
@@ -23,6 +24,23 @@ def _fail_on_three(x):
 def _sleep_tenth(x):
     time.sleep(0.1)
     return x
+
+
+class _Recorder:
+    """Record which thread ran each task, then hit the ``exec`` fault site."""
+
+    def __init__(self):
+        self.runs = []
+        self._lock = threading.Lock()
+
+    def __call__(self, index):
+        with self._lock:
+            self.runs.append((index, threading.current_thread().name))
+        faults.inject("exec", index)
+        return index
+
+    def executions(self, index):
+        return [name for task, name in self.runs if task == index]
 
 
 class TestResolveWorkers:
@@ -91,6 +109,21 @@ class TestThreadPool:
     def test_repr_names_mode(self):
         with ParallelExecutor(1) as executor:
             assert "serial" in repr(executor)
+
+    def test_tasks_run_on_pool_threads(self):
+        recorder = _Recorder()
+        with ParallelExecutor(2) as executor:
+            assert executor.map(recorder, range(6)) == list(range(6))
+        names = {name for _, name in recorder.runs}
+        assert names and all(name.startswith("repro-exec") for name in names)
+
+    def test_stale_start_method_env_is_ignored(self, monkeypatch):
+        # REPRO_START_METHOD chose the start method of the retired process
+        # pool; a value left in the environment must not stop a pool.
+        monkeypatch.setenv("REPRO_START_METHOD", "bogus")
+        with ParallelExecutor(2) as executor:
+            assert not executor.serial
+            assert executor.map(_square, [3]) == [9]
 
 
 @pytest.fixture
@@ -189,3 +222,27 @@ class TestCloseUnderARun:
             timer.join()
         assert attempts.count(0) == 2
         assert executor.serial
+
+
+class TestTaskFailure:
+    def test_run_resubmits_only_failed_tasks(self, pool_executor):
+        # Task 0 raises once.  It is retried exactly once, on a pool
+        # thread; every other task ran once and kept its result.
+        recorder = _Recorder()
+        with faults.active({"exec": {"0": {"kind": "raise"}}}):
+            outcome = pool_executor.run(recorder, range(8))
+        assert outcome.all_completed
+        assert outcome.results == list(range(8))
+        assert outcome.task_retries == 1
+        assert len(recorder.executions(0)) == 2
+        for index in range(1, 8):
+            assert len(recorder.executions(index)) == 1
+        assert all(name.startswith("repro-exec") for _, name in recorder.runs)
+
+    def test_map_keeps_completed_results_across_a_failure(self, pool_executor):
+        recorder = _Recorder()
+        with faults.active({"exec": {"2": {"kind": "raise"}}}):
+            assert pool_executor.map(recorder, range(8)) == list(range(8))
+        assert len(recorder.executions(2)) == 2
+        assert len(recorder.runs) == 9
+        assert not pool_executor.serial

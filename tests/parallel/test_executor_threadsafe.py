@@ -7,6 +7,8 @@ tests pin the thread-safety contract documented in
 
 * concurrent ``run()`` calls all complete with correct, ordered results;
 * ``cancel()`` stops every run in flight and nothing started afterwards;
+* a task that fails while several runs are in flight is retried within
+  its own run — every run completes and the pool stays up;
 * a deadline expiring in one run does not tear down the pool under a
   concurrent run.
 """
@@ -27,6 +29,24 @@ def _sleep_then_square(arg):
     delay, x = arg
     time.sleep(delay)
     return x * x
+
+
+class _FailOnce:
+    """Square, but raise the first time the marked task runs."""
+
+    def __init__(self):
+        self.failures = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, arg):
+        marked, x = arg
+        if marked:
+            with self._lock:
+                first = self.failures == 0
+                self.failures += 1
+            if first:
+                raise RuntimeError("injected task failure")
+        return x * x
 
 
 @pytest.fixture
@@ -88,6 +108,26 @@ class TestConcurrentRuns:
         for slot, outcome in enumerate(outcomes):
             assert outcome.all_completed
             assert outcome.results == [(slot * 4 + i) ** 2 for i in range(4)]
+
+    def test_task_failure_under_concurrency_recovers_every_run(
+        self, pool_executor
+    ):
+        fail_once = _FailOnce()
+
+        def make_tasks(slot):
+            # Exactly one task in thread 0 fails, once.
+            return [(slot == 0 and i == 1, slot * 8 + i) for i in range(8)]
+
+        outcomes = _run_many(pool_executor, 3, 8, fail_once, make_tasks)
+        for slot, outcome in enumerate(outcomes):
+            assert outcome.all_completed, (slot, outcome.errors)
+            assert outcome.results == [(slot * 8 + i) ** 2 for i in range(8)]
+        assert fail_once.failures == 2
+        assert [outcome.task_retries for outcome in outcomes] == [1, 0, 0]
+        # Executor still healthy for the next query.
+        assert not pool_executor.serial
+        follow_up = pool_executor.run(_square, [5])
+        assert follow_up.results == [25]
 
     def test_cancel_hits_every_inflight_run_but_not_later_ones(
         self, pool_executor

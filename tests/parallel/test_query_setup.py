@@ -7,17 +7,24 @@ shares it with every round and shard.  That may not move a score bit:
   and the bits recorded before the matrix existed, at every worker count,
   for adaptive and fixed queries, on unweighted and weighted (cdf and
   alias) graphs;
-* a query cut off by its deadline leaves its executor fit for the next
-  query, which still gets the pinned bits;
+* one matrix serves every round of an adaptive query;
+* a query leaves no pool thread behind once its executor is closed and
+  publishes nothing to shared memory, whether it ends normally, through
+  a raising shard, or at a deadline; a query cut off by its deadline
+  leaves its executor fit for the next query, which still gets the
+  pinned bits;
 * an interpreter that ran pooled queries exits without a
   ``resource_tracker`` complaint about leaked or missing segments.
 """
 
 import hashlib
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -27,7 +34,13 @@ from repro import faults
 from repro.core.params import CrashSimParams
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
-from repro.parallel import ParallelExecutor, parallel_crashsim, runner
+from repro.core.revreach import revreach_levels
+from repro.parallel import (
+    ParallelExecutor,
+    parallel_crashsim,
+    reset_default_executors,
+    runner,
+)
 
 ADAPTIVE = CrashSimParams(epsilon=0.05)
 FIXED = CrashSimParams(n_r_override=96)
@@ -47,7 +60,7 @@ PINNED = {
     ("weighted-alias", "fixed"): "e67ab0792be49de0",
 }
 
-WORKERS = [1, 2]
+WORKERS = [1, 2, 4]
 
 
 def make_graph(kind):
@@ -149,8 +162,6 @@ class TestSharedMatrixIdentity:
         assert fills == []
 
     def test_engine_lru_tree_gets_no_cached_matrix(self, graphs):
-        from repro.core.revreach import revreach_levels
-
         graph = graphs["unweighted"]
         tree = revreach_levels(graph, SOURCE, ADAPTIVE.l_max, ADAPTIVE.c)
         parallel_crashsim(
@@ -159,10 +170,57 @@ class TestSharedMatrixIdentity:
         )
         assert tree._dense is None
 
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted-cdf"])
+    def test_matrix_rows_match_the_tree_gather(self, graphs, kind):
+        # Every shard reads U[step, node] from the matrix where it used to
+        # gather from the sparse tree: the two reads must agree bit for
+        # bit at every level and node.
+        graph = graphs[kind]
+        tree = revreach_levels(graph, SOURCE, ADAPTIVE.l_max, ADAPTIVE.c)
+        matrix = np.zeros((ADAPTIVE.l_max + 1, graph.num_nodes))
+        filled = runner._fill_matrix(tree, matrix)
+        assert filled is matrix
+        positions = np.arange(graph.num_nodes, dtype=np.int64)
+        for step in range(ADAPTIVE.l_max + 1):
+            assert np.array_equal(matrix[step], tree.gather(step, positions))
+        assert tree._dense is None
+
 
 # ----------------------------------------------------------------------
 # Clean query ends
 # ----------------------------------------------------------------------
+
+SHM = pathlib.Path("/dev/shm")
+
+
+def pool_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-exec")
+    }
+
+
+def segments():
+    return {path.name for path in SHM.glob("repro-*")} if SHM.is_dir() else set()
+
+
+@pytest.fixture
+def query_ends_clean():
+    """Fail if a pool thread or ``repro-*`` segment made here outlives the test.
+
+    Pool threads end once ``reset_default_executors()`` closes their
+    executor; one abandoned at a deadline ends when its stalled shard
+    does, so the check polls briefly.
+    """
+    threads, shm = pool_threads(), segments()
+    yield
+    reset_default_executors()
+    give_up = time.monotonic() + 15.0
+    while pool_threads() - threads and time.monotonic() < give_up:
+        time.sleep(0.05)
+    assert pool_threads() - threads == set()
+    assert segments() - shm == set()
 
 
 def adaptive_query(graph, **kwargs):
@@ -174,7 +232,36 @@ def adaptive_query(graph, **kwargs):
         )
 
 
+@pytest.mark.usefixtures("query_ends_clean")
 class TestQueryEnds:
+    def test_one_matrix_serves_every_round(self, graphs, monkeypatch, fills):
+        dispatches = []
+        dispatch = runner._dispatch
+
+        def count(*args):
+            dispatches.append(len(args[2]))
+            return dispatch(*args)
+
+        monkeypatch.setattr(runner, "_dispatch", count)
+        graph = graphs["unweighted"]
+        result = adaptive_query(graph)
+        assert fills == [(ADAPTIVE.l_max + 1, graph.num_nodes)]
+        assert len(dispatches) >= 2
+        assert sum(dispatches) <= SHARDS
+        assert result.trials_completed > 0
+        assert digest(result) == PINNED[("unweighted", "adaptive")]
+
+    def test_normal_query(self, graphs):
+        result = adaptive_query(graphs["weighted-cdf"])
+        assert not result.degraded
+        assert digest(result) == PINNED[("weighted-cdf", "adaptive")]
+
+    def test_raising_shard(self, graphs):
+        plan = {"shard": {"1": {"kind": "raise", "times": 32}}}
+        with faults.active(plan) as markers:
+            adaptive_query(graphs["unweighted"])
+            assert (pathlib.Path(markers) / "shard-1-0").exists()
+
     def test_deadline_expiry_then_a_query_on_the_same_executor(self, graphs):
         # Shard 2 (round 2) stalls past the deadline, so the pool is
         # dropped with a thread still running it.  The next query on the

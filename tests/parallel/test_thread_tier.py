@@ -20,6 +20,7 @@ from repro import faults, obs
 from repro.core.crashsim import crashsim
 from repro.core.params import CrashSimParams
 from repro.errors import DegradedResultWarning, ParameterError
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.parallel import (
     MAX_SHARDS,
@@ -39,6 +40,13 @@ PARAMS = CrashSimParams(n_r_override=300)
 @pytest.fixture(scope="module")
 def random_graph():
     return erdos_renyi(120, 600, seed=5)
+
+
+@pytest.fixture(scope="module")
+def weighted_graph(random_graph):
+    edges = [(int(s), int(t)) for s, t in random_graph.edges()]
+    weights = np.random.default_rng(3).uniform(0.1, 5.0, size=len(edges))
+    return DiGraph.from_edges(random_graph.num_nodes, edges, weights=weights)
 
 
 def to_hex(values):
@@ -73,6 +81,38 @@ class TestThreadTierIdentity:
             random_graph, 0, params=PARAMS, seed=7, workers=1, shards=16
         )
         assert to_hex(threaded.scores) == to_hex(reference.scores)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("shards", [1, 3, 64])
+    def test_every_explicit_plan_matches_serial(
+        self, random_graph, shards, workers
+    ):
+        # One shard, fewer shards than workers, and more shards than the
+        # autotuner would ever plan: the pool never changes a bit.
+        threaded = parallel_crashsim(
+            random_graph, 2, params=PARAMS, seed=8, workers=workers,
+            shards=shards,
+        )
+        reference = parallel_crashsim(
+            random_graph, 2, params=PARAMS, seed=8, workers=1, shards=shards
+        )
+        assert to_hex(threaded.scores) == to_hex(reference.scores)
+        assert threaded.trials_completed == reference.trials_completed
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("sampler", ["cdf", "alias"])
+    def test_weighted_graph_matches_serial(self, weighted_graph, sampler, workers):
+        # Weighted walks draw through per-thread kernels' sampler tables;
+        # both samplers keep the serial bits.
+        serial = parallel_crashsim(
+            weighted_graph, 4, params=PARAMS, seed=19, workers=1, shards=16,
+            sampler=sampler,
+        )
+        threaded = parallel_crashsim(
+            weighted_graph, 4, params=PARAMS, seed=19, workers=workers,
+            shards=16, sampler=sampler,
+        )
+        assert to_hex(threaded.scores) == to_hex(serial.scores)
 
     def test_matches_classic_serial_estimator_layout(self, random_graph):
         # workers=1 and the thread tier share the shard decomposition, and
@@ -162,6 +202,28 @@ class TestExecutorSurface:
         for mode in ("process", "fibers"):
             with pytest.raises(ParameterError):
                 resolve_mode(mode)
+
+    @pytest.mark.parametrize(
+        "surface", ["executor", "driver", "single_source", "engine_config"]
+    )
+    def test_mode_option_is_gone(self, random_graph, surface):
+        # The tier is not an option anywhere: passing mode= is an error,
+        # not a silently ignored keyword.
+        from repro import api
+        from repro.serve import EngineConfig
+
+        calls = {
+            "executor": lambda: ParallelExecutor(2, mode="thread"),
+            "driver": lambda: parallel_crashsim(
+                random_graph, 0, params=PARAMS, workers=1, mode="thread"
+            ),
+            "single_source": lambda: api.single_source(
+                random_graph, 0, n_r=8, workers=1, mode="thread"
+            ),
+            "engine_config": lambda: EngineConfig(mode="thread"),
+        }
+        with pytest.raises(TypeError, match="mode"):
+            calls[surface]()
 
     def test_thread_executor_properties(self):
         with ParallelExecutor(2) as executor:

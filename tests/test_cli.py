@@ -15,6 +15,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    def test_retired_mode_flag_rejected(self, capsys):
+        # One execution tier: there is no --mode to choose between tiers.
+        assert build_parser().parse_args(["query"]).experiment == "query"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["query", "--mode", "process"])
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
     def test_dataset_repeatable(self):
         args = build_parser().parse_args(
             ["fig5", "--dataset", "hepth", "--dataset", "as733"]

@@ -246,6 +246,23 @@ class TestChaosStatic:
         assert result.candidates.tolist() == pinned["parallel_w1"]["candidates"]
         assert to_hex(result.scores) == pinned["parallel_w1"]["scores"]
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_in_shard_exception_recovers_bit_identical_at_any_worker_count(
+        self, pinned, chaos_graph, workers
+    ):
+        # The retry replays the shard's own seed wherever it runs: inline
+        # or on any of four pool threads, the pinned bits come back.
+        plan = {"shard": {"3": {"kind": "raise", "times": 1}}}
+        with faults.active(plan) as markers:
+            result = parallel_crashsim(
+                chaos_graph, 0, params=PARAMS64, seed=123, workers=workers,
+                shards=16,
+            )
+            assert (pathlib.Path(markers) / "shard-3-0").exists()
+        assert not result.degraded
+        assert result.trials_completed == result.n_r
+        assert to_hex(result.scores) == pinned["parallel_w1"]["scores"]
+
     def test_persistent_shard_failure_degrades(self, chaos_graph, ground_truth):
         # Shard 5 fails every attempt: its 4 trials are lost, the run is
         # flagged degraded, and the widened bound still covers the error.
