@@ -255,29 +255,25 @@ def run_adaptive_sweep(graph: DiGraph) -> List[Dict[str, object]]:
     return tiers
 
 
-def run_fixture_sweep(
-    graph: DiGraph,
-    tiers=FIXTURE_TIERS,
-    n_rs: Sequence[int] = FIXTURE_N_RS,
-    repeats: int = FIXTURE_REPEATS,
-) -> List[Dict[str, object]]:
+def run_fixture_sweep(graph: DiGraph) -> List[Dict[str, object]]:
     """Latency of fixed all-node queries from the top in-degree source.
 
-    ``tiers`` pairs a row label with the ``api.single_source`` keyword
-    arguments that select it.  Each row answers once untimed (pool start,
-    warm kernels), then ``repeats`` times timed, tree build included.
+    ``FIXTURE_TIERS`` pairs a row label with the ``api.single_source``
+    keyword arguments that select it.  Each row answers once untimed (pool
+    start, warm kernels), then ``FIXTURE_REPEATS`` times timed, tree build
+    included.
     """
     source = int(np.argmax(graph.in_degrees()))
     rows = []
-    for n_r in n_rs:
-        for label, options in tiers:
+    for n_r in FIXTURE_N_RS:
+        for label, options in FIXTURE_TIERS:
 
             def answer():
                 return api.single_source(graph, source, n_r=n_r, seed=1, **options)
 
             answer()
             seconds = []
-            for _ in range(repeats):
+            for _ in range(FIXTURE_REPEATS):
                 started = time.perf_counter()
                 answer()
                 seconds.append(time.perf_counter() - started)

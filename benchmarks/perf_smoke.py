@@ -86,10 +86,11 @@ OVERLOAD_SMOKE_CATALOG = 1_000
 OVERLOAD_SMOKE_N_R = 32
 OVERLOAD_SMOKE_DURATION = 2.5
 OVERLOAD_SMOKE_QUEUE_DEPTH = 16
-# Parallel dispatch must actually win on a multi-core runner: best tier at
-# 4 workers ≥ 1.5x over serial when ≥ 4 effective CPUs are available, a
-# reduced floor on 2–3 CPUs, and the scaling gate *skips* (identity still
-# gated) below 2 — a single core can only measure pool overhead.
+# Parallel dispatch must actually win on a multi-core runner: the thread
+# tier at 4 workers ≥ 1.5x over serial when ≥ 4 effective CPUs are
+# available, a reduced floor on 2–3 CPUs, and the scaling gate *skips*
+# (identity still gated) below 2 — a single core can only measure pool
+# overhead.
 MIN_PARALLEL_SPEEDUP_4CPU = 1.5
 MIN_PARALLEL_SPEEDUP_2CPU = 1.1
 # Adaptive smoke: the pinned power-law fixture with the candidate set cut

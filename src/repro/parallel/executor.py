@@ -201,15 +201,15 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def resolve_mode(mode: str = "auto") -> str:
+def resolve_mode(mode: str) -> str:
     """The execution tier that runs sharded queries: always ``"thread"``.
 
     There is one tier and no option selects it.  This function is kept
-    only for callers that record the tier, such as the benchmark's machine
-    fingerprint (``resolve_mode("auto")``).
+    only for the benchmark's machine fingerprint, which records
+    ``resolve_mode("auto")``; ``"auto"`` is the one value accepted.
     """
-    if mode not in ("auto", "thread"):
-        raise ParameterError(f"mode must be 'auto' or 'thread'; got {mode!r}")
+    if mode != "auto":
+        raise ParameterError(f"mode must be 'auto'; got {mode!r}")
     return "thread"
 
 

@@ -8,9 +8,8 @@ shares it with every round and shard.  That may not move a score bit:
   for adaptive and fixed queries, on unweighted and weighted (cdf and
   alias) graphs;
 * one matrix serves every round of an adaptive query;
-* a query leaves no pool thread behind once its executor is closed and
-  publishes nothing to shared memory, whether it ends normally, through
-  a raising shard, or at a deadline; a query cut off by its deadline
+* a query leaves no pool thread behind once its executor is closed,
+  whether it ends normally, through a raising shard, or at a deadline; a query cut off by its deadline
   leaves its executor fit for the next query, which still gets the
   pinned bits;
 * an interpreter that ran pooled queries exits without a
@@ -190,8 +189,6 @@ class TestSharedMatrixIdentity:
 # Clean query ends
 # ----------------------------------------------------------------------
 
-SHM = pathlib.Path("/dev/shm")
-
 
 def pool_threads():
     return {
@@ -201,26 +198,21 @@ def pool_threads():
     }
 
 
-def segments():
-    return {path.name for path in SHM.glob("repro-*")} if SHM.is_dir() else set()
-
-
 @pytest.fixture
 def query_ends_clean():
-    """Fail if a pool thread or ``repro-*`` segment made here outlives the test.
+    """Fail if a pool thread started here outlives the test.
 
     Pool threads end once ``reset_default_executors()`` closes their
     executor; one abandoned at a deadline ends when its stalled shard
     does, so the check polls briefly.
     """
-    threads, shm = pool_threads(), segments()
+    threads = pool_threads()
     yield
     reset_default_executors()
     give_up = time.monotonic() + 15.0
     while pool_threads() - threads and time.monotonic() < give_up:
         time.sleep(0.05)
     assert pool_threads() - threads == set()
-    assert segments() - shm == set()
 
 
 def adaptive_query(graph, **kwargs):

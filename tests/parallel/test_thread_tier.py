@@ -194,12 +194,12 @@ class TestExecutorSurface:
     def test_auto_resolves_to_thread(self, monkeypatch):
         # One tier: REPRO_JIT only changes the kernel, never the tier.
         assert resolve_mode("auto") == "thread"
-        assert resolve_mode() == "thread"
         monkeypatch.setenv("REPRO_JIT", "1")
         assert resolve_mode("auto") == "thread"
 
     def test_retired_tiers_rejected(self):
-        for mode in ("process", "fibers"):
+        # "auto" is the only value accepted, even the tier's own name.
+        for mode in ("thread", "process", "fibers"):
             with pytest.raises(ParameterError):
                 resolve_mode(mode)
 
