@@ -34,6 +34,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import time
 from typing import Dict, List, Sequence
 
@@ -53,6 +54,8 @@ BENCH_EDGES = 150_000
 BENCH_N_R = 512
 BENCH_SEED = 0
 WORKER_COUNTS = (1, 2, 4)
+#: Queries timed per sweep row; the row reports their median.
+SWEEP_REPEATS = 3
 OUTPUT = pathlib.Path(__file__).with_name("BENCH_parallel.json")
 
 ADAPTIVE_EPSILON = 0.05
@@ -91,50 +94,42 @@ def run_sweep(
     source: int = 0,
     seed: int = 1,
 ) -> List[Dict[str, object]]:
-    """Time one query per worker count; speedup vs. ``workers=1``.
+    """Time each worker count as the median of :data:`SWEEP_REPEATS`
+    queries; speedup vs. ``workers=1``.
 
-    ``workers=1`` runs the serial in-process path (reported as
-    ``mode="serial"``) and is the baseline of the speedup column.  Every
-    row records whether its scores are byte-identical to that baseline —
-    the determinism contract says the worker count never touches a score
-    bit.
+    The repeats are interleaved (every worker count once per pass), so
+    drift in machine load reaches all rows alike.  ``workers=1`` runs the
+    serial in-process path (reported as ``mode="serial"``) and is the
+    baseline of the speedup column.  Every row records whether all its
+    repeats' scores are byte-identical to that baseline — the
+    determinism contract says the worker count never touches a score bit.
     """
     params = CrashSimParams(n_r_override=n_r)
-    rows: List[Dict[str, object]] = []
-
-    def timed(workers: int):
-        started = time.perf_counter()
-        result = parallel_crashsim(
-            graph, source, params=params, seed=seed, workers=workers
-        )
-        return result, time.perf_counter() - started
-
-    baseline, baseline_seconds = timed(1)
-    rows.append(
+    counts = [1] + [workers for workers in worker_counts if workers != 1]
+    seconds: Dict[int, List[float]] = {workers: [] for workers in counts}
+    scores: Dict[int, List[np.ndarray]] = {workers: [] for workers in counts}
+    for _ in range(SWEEP_REPEATS):
+        for workers in counts:
+            started = time.perf_counter()
+            result = parallel_crashsim(
+                graph, source, params=params, seed=seed, workers=workers
+            )
+            seconds[workers].append(time.perf_counter() - started)
+            scores[workers].append(result.scores)
+    medians = {workers: statistics.median(seconds[workers]) for workers in counts}
+    reference = scores[1][0]
+    return [
         {
-            "mode": "serial",
-            "workers": 1,
-            "seconds": round(baseline_seconds, 4),
-            "speedup": 1.0,
-            "identical_to_w1": True,
+            "mode": "serial" if workers == 1 else "thread",
+            "workers": workers,
+            "seconds": round(medians[workers], 4),
+            "speedup": round(medians[1] / medians[workers], 3),
+            "identical_to_w1": all(
+                np.array_equal(reference, other) for other in scores[workers]
+            ),
         }
-    )
-    for workers in worker_counts:
-        if workers == 1:
-            continue
-        result, seconds = timed(workers)
-        rows.append(
-            {
-                "mode": "thread",
-                "workers": workers,
-                "seconds": round(seconds, 4),
-                "speedup": round(baseline_seconds / seconds, 3),
-                "identical_to_w1": bool(
-                    np.array_equal(baseline.scores, result.scores)
-                ),
-            }
-        )
-    return rows
+        for workers in counts
+    ]
 
 
 # ----------------------------------------------------------------------

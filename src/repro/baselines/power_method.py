@@ -17,13 +17,15 @@ single-source slice helper avoids re-deriving it at every call site.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse
 
 from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph
+
+if TYPE_CHECKING:  # pragma: no cover - scipy loads only when a matrix is built
+    import scipy.sparse
 
 __all__ = [
     "power_method_all_pairs",
@@ -34,10 +36,12 @@ __all__ = [
 DEFAULT_ITERATIONS = 55
 
 
-def _column_normalised_in_adjacency(graph: DiGraph) -> scipy.sparse.csr_matrix:
+def _column_normalised_in_adjacency(graph: DiGraph) -> "scipy.sparse.csr_matrix":
     """``W`` with ``W[x, u] = 1/|I(u)|`` (or ``w(x,u)/W(u)`` when weighted)
     for ``x ∈ I(u)``; zero columns for nodes with no in-neighbours (their
     SimRank to anything else is 0)."""
+    import scipy.sparse
+
     n = graph.num_nodes
     totals = graph.in_weight_totals()
     # Entry per arc x -> u contributes W[x, u]; arcs grouped by u in the

@@ -31,15 +31,17 @@ eliminates (paper §III-A) is the repeated per-position probing.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 import numpy as np
-import scipy.sparse
 
 from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph
 from repro.rng import RngLike, ensure_rng
 from repro.walks.sqrt_c import sample_sqrt_c_walk
+
+if TYPE_CHECKING:  # pragma: no cover - scipy loads only when a matrix is built
+    import scipy.sparse
 
 __all__ = ["probesim", "probesim_trial_count"]
 
@@ -53,7 +55,7 @@ def probesim_trial_count(
     return chernoff_trial_count(num_nodes, c, epsilon, delta)
 
 
-def _probe_operator(graph: DiGraph, sqrt_c: float) -> scipy.sparse.csr_matrix:
+def _probe_operator(graph: DiGraph, sqrt_c: float) -> "scipy.sparse.csr_matrix":
     """``M = √c · P`` (the reverse-walk transition scaled by √c): one probe
     level is ``R ← M @ R``.  Weight-aware via the graph's transition."""
     return (sqrt_c * graph.reverse_transition_matrix()).tocsr()

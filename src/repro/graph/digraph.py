@@ -120,9 +120,35 @@ def _csr_from_pairs(
 
 
 def _pair_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """``edges`` as an int64 array of shape ``(k, 2)``."""
+    """``edges`` as an int64 array of shape ``(k, 2)``.
+
+    An ndarray passes straight through (cast to int64 if it is not); any
+    other iterable is read pair by pair.  A row that is not a pair raises
+    :class:`ValueError`.
+    """
+    if isinstance(edges, np.ndarray):
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(
+                f"edges must be (source, target) pairs; got shape {edges.shape}"
+            )
+        return edges.astype(np.int64, copy=False).reshape(-1, 2)
     pairs = [(int(s), int(t)) for s, t in edges]
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _check_endpoints(num_nodes: int, sources: np.ndarray, targets: np.ndarray) -> None:
+    """Raise :class:`GraphError` for a negative ``num_nodes`` or an endpoint
+    outside ``[0, num_nodes)``."""
+    if num_nodes < 0:
+        raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
+    if sources.size:
+        low = min(sources.min(), targets.min())
+        high = max(sources.max(), targets.max())
+        if low < 0 or high >= num_nodes:
+            raise GraphError(
+                f"edge endpoint out of range [0, {num_nodes}): "
+                f"saw values in [{low}, {high}]"
+            )
 
 
 def _csr_keys(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -243,20 +269,11 @@ class DiGraph:
         node_labels: Optional[Sequence[object]] = None,
         weights: Optional[np.ndarray] = None,
     ):
-        if num_nodes < 0:
-            raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         if sources.shape != targets.shape or sources.ndim != 1:
             raise GraphError("sources and targets must be parallel 1-D arrays")
-        if sources.size:
-            low = min(sources.min(), targets.min())
-            high = max(sources.max(), targets.max())
-            if low < 0 or high >= num_nodes:
-                raise GraphError(
-                    f"edge endpoint out of range [0, {num_nodes}): "
-                    f"saw values in [{low}, {high}]"
-                )
+        _check_endpoints(num_nodes, sources, targets)
         if node_labels is not None and len(node_labels) != num_nodes:
             raise GraphError(
                 f"node_labels has {len(node_labels)} entries for {num_nodes} nodes"
@@ -330,52 +347,68 @@ class DiGraph:
         dedup: bool = True,
         weights: Optional[Iterable[float]] = None,
     ) -> "DiGraph":
-        """Build a graph from an iterable of ``(source, target)`` pairs.
+        """Build a graph from ``(source, target)`` pairs.
 
+        ``edges`` is an int ``(k, 2)`` array (taken as is) or any iterable
+        of pairs; ``weights``, if given, holds one weight per pair.
         Self-loops are dropped (SimRank's ``sim(u, u) = 1`` base case makes
-        them meaningless) and, when ``dedup`` is true, parallel edges are
-        collapsed (last weight wins).  With ``directed=False`` each pair is
-        mirrored, carrying its weight to both arcs.
-        """
-        edge_list = [(int(s), int(t)) for s, t in edges]
-        if weights is not None:
-            weight_list = [float(w) for w in weights]
-            if len(weight_list) != len(edge_list):
-                raise GraphError(
-                    f"{len(weight_list)} weights supplied for {len(edge_list)} edges"
-                )
-        else:
-            weight_list = None
+        them meaningless).  With ``directed=False`` each pair is mirrored,
+        carrying its weight to both arcs.  When ``dedup`` is true, repeated
+        arcs collapse to one; either way every copy of an arc takes the
+        weight of its last occurrence.
 
-        weighted_pairs: dict = {}
-        ordered: list = []
-        for index, (s, t) in enumerate(edge_list):
-            if s == t:
-                continue
-            weight = weight_list[index] if weight_list is not None else 1.0
-            arcs = [(s, t)] if directed else [(s, t), (t, s)]
-            for arc in arcs:
-                if dedup:
-                    if arc not in weighted_pairs:
-                        ordered.append(arc)
-                    weighted_pairs[arc] = weight
-                else:
-                    ordered.append(arc)
-                    weighted_pairs[arc] = weight
-        pairs = ordered
-        if pairs:
-            arr = np.array(pairs, dtype=np.int64)
-            sources, targets = arr[:, 0], arr[:, 1]
-            weight_array = (
-                np.array([weighted_pairs[arc] for arc in pairs])
-                if weight_list is not None
-                else None
+        The build is array work only: one mask, one ``unique`` over arc
+        keys ``s * n + t`` (taken over the reversed arcs, so each arc's
+        last occurrence supplies its weight), and the constructor's
+        lexsort.
+
+        >>> arcs = np.array([(0, 1), (1, 1), (0, 1), (1, 2)])
+        >>> graph = DiGraph.from_edges(3, arcs, weights=[1.0, 5.0, 2.0, 3.0])
+        >>> sorted(graph.edges()), graph.edge_weight(0, 1)
+        ([(0, 1), (1, 2)], 2.0)
+        >>> DiGraph.from_edges(3, arcs, dedup=False).num_arcs
+        3
+        """
+        pairs = _pair_array(edges)
+        weight_array = None
+        if weights is not None:
+            weight_array = np.asarray(
+                weights if isinstance(weights, np.ndarray) else list(weights),
+                dtype=np.float64,
             )
-        else:
-            sources = targets = np.empty(0, dtype=np.int64)
-            weight_array = (
-                np.empty(0, dtype=np.float64) if weight_list is not None else None
+            if weight_array.shape != (len(pairs),):
+                raise GraphError(
+                    f"{weight_array.size} weights supplied for {len(pairs)} edges"
+                )
+
+        loop_free = pairs[:, 0] != pairs[:, 1]
+        arcs = pairs[loop_free]
+        if weight_array is not None:
+            weight_array = weight_array[loop_free]
+        if not directed:
+            # Each edge's two arcs in a row: (s, t) then (t, s).
+            arcs = np.stack([arcs, arcs[:, ::-1]], axis=1).reshape(-1, 2)
+            if weight_array is not None:
+                weight_array = np.repeat(weight_array, 2)
+        sources, targets = arcs[:, 0], arcs[:, 1]
+        # Checked before keying: an out-of-range endpoint could share its
+        # key with a valid arc and be collapsed into it unreported.
+        _check_endpoints(num_nodes, sources, targets)
+
+        if dedup or weight_array is not None:
+            # Over the reversed arcs, an arc key's first occurrence is its
+            # last one in input order.
+            keys = (sources * num_nodes + targets)[::-1]
+            unique_keys, last, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
             )
+            if weight_array is not None:
+                last_weights = weight_array[::-1][last]
+                weight_array = (
+                    last_weights if dedup else last_weights[inverse][::-1]
+                )
+            if dedup:
+                sources, targets = np.divmod(unique_keys, num_nodes)
         return cls(
             num_nodes,
             sources,

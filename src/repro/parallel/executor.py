@@ -49,6 +49,11 @@ across requests.  The contract:
 * a run whose deadline expires (or that is cancelled) abandons the shared
   pool only when it is the *sole* run in flight; otherwise it just cancels
   its own pending futures so concurrent runs keep their workers;
+* an abandoned pool's threads run on until their shards end, so live
+  worker threads are capped at ``2 × workers``: while abandoned threads
+  still number more than ``workers``, no new pool is built — a run with
+  a deadline waits (inside its budget) for them to end, and a run
+  without one runs serially;
 * ``close()`` lets the tasks already queued finish, so runs in flight
   on other threads complete; a retry that finds the executor closed is
   recorded as lost (:meth:`ParallelExecutor.map` runs it in-process).
@@ -291,6 +296,8 @@ class ParallelExecutor:
         self.retry_budget = retry_budget
         self._run_ordinal = 0
         self._pool: Optional[ThreadPoolExecutor] = None
+        # Threads of abandoned pools, dropped once they have ended.
+        self._abandoned_threads: List[threading.Thread] = []
         self._finalizer: Optional[weakref.finalize] = None
         # Pool lifecycle is shared mutable state; every transition happens
         # under this lock.
@@ -304,10 +311,24 @@ class ParallelExecutor:
     # Pool lifecycle
     # ------------------------------------------------------------------
 
-    def _ensure_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The live pool, building it (again, after an abandon) if needed."""
+    def _ensure_pool(
+        self, deadline_at: Optional[float] = None
+    ) -> Optional[ThreadPoolExecutor]:
+        """The live pool, building it (again, after an abandon) if needed.
+
+        ``None`` means run serially: the executor is serial or closed, or
+        a new pool would exceed the thread cap and no abandoned thread
+        ended before ``deadline_at`` (a run without a deadline does not
+        wait).
+        """
+        if self._pool is None and not self._pool_disabled:
+            self._await_thread_headroom(deadline_at)
         with self._lock:
-            if self._pool is None and not self._pool_disabled:
+            if (
+                self._pool is None
+                and not self._pool_disabled
+                and self._thread_over_cap() is None
+            ):
                 pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="repro-exec"
                 )
@@ -318,6 +339,27 @@ class ParallelExecutor:
                 # would never be collected.
                 self._finalizer = weakref.finalize(self, _shutdown_pool, pool)
             return self._pool
+
+    def _thread_over_cap(self) -> Optional[threading.Thread]:
+        """A live abandoned thread, while a fresh pool would take live
+        threads past ``2 × workers``; ``None`` once one fits."""
+        with self._lock:
+            self._abandoned_threads = [
+                thread for thread in self._abandoned_threads if thread.is_alive()
+            ]
+            if len(self._abandoned_threads) > self.workers:
+                return self._abandoned_threads[0]
+            return None
+
+    def _await_thread_headroom(self, deadline_at: Optional[float]) -> None:
+        """Wait for abandoned threads to end until a fresh pool fits under
+        the cap, giving up at ``deadline_at`` (at once without one)."""
+        while deadline_at is not None:
+            blocker = self._thread_over_cap()
+            remaining = deadline_at - time.monotonic()
+            if blocker is None or remaining <= 0:
+                return
+            blocker.join(remaining)
 
     def _release_pool(self, abandon: bool) -> None:
         """Drop the pool.  ``abandon`` returns at once and cancels queued
@@ -332,6 +374,11 @@ class ParallelExecutor:
                 self._finalizer.detach()
                 self._finalizer = None
             pool, self._pool = self._pool, None
+            if pool is not None and abandon:
+                # ``_threads`` is every thread the pool started; none can
+                # start later, since submits happen inside runs and only
+                # the sole run abandons.
+                self._abandoned_threads.extend(pool._threads)
         if pool is not None:
             pool.shutdown(wait=not abandon, cancel_futures=abandon)
 
@@ -340,7 +387,8 @@ class ParallelExecutor:
 
         ``shutdown(wait=False)`` returns immediately; a shard that is
         mid-sleep keeps its thread busy until it ends, but the query
-        returns now.  The next ``run``/``map`` builds a fresh pool.  When
+        returns now.  The next ``run``/``map`` builds a fresh pool once
+        the abandoned threads still alive number at most ``workers``.  When
         *other* runs share this executor the pool is left alone — their
         shards are still executing in it — and only this run's pending
         futures are cancelled by the caller.
@@ -423,9 +471,10 @@ class ParallelExecutor:
         deadline:
             Wall-clock budget in seconds for the whole call.  When it
             elapses, pending tasks are cancelled, running ones abandoned
-            (their pool is dropped and rebuilt lazily), and the outcome
-            reports ``deadline_hit=True`` with whatever completed.  The
-            serial path checks the clock *between* tasks (cooperative).
+            (their pool is dropped and rebuilt lazily, within the thread
+            cap), and the outcome reports ``deadline_hit=True`` with
+            whatever completed.  The serial path checks the clock
+            *between* tasks (cooperative).
         task_retries:
             How many times one task is resubmitted after raising, before
             its error is recorded.
@@ -462,7 +511,7 @@ class ParallelExecutor:
         def out_of_time() -> bool:
             return deadline_at is not None and time.monotonic() >= deadline_at
 
-        serial = self._ensure_pool() is None
+        serial = self._ensure_pool(deadline_at) is None
         try:
             engine = self._run_serial if serial else self._run_pooled
             engine(

@@ -9,7 +9,10 @@ persistent default executor, the autotuned shard planner, and the
 mode-labelled executor metrics.
 """
 
+import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,11 @@ from hypothesis import strategies as st
 from repro import faults, obs
 from repro.core.crashsim import crashsim
 from repro.core.params import CrashSimParams
-from repro.errors import DegradedResultWarning, ParameterError
+from repro.errors import (
+    DeadlineExceededError,
+    DegradedResultWarning,
+    ParameterError,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi
 from repro.parallel import (
@@ -183,6 +190,138 @@ class TestThreadTierFaults:
                 )
         assert result.degraded
         assert 0 < result.trials_completed < result.n_r
+
+
+class _PoolThreadPeak:
+    """Samples, while open, the most ``repro-exec`` threads alive at once
+    among those that were not alive when it opened."""
+
+    def __init__(self):
+        self._others = set(threading.enumerate())
+        self._stop = threading.Event()
+        self._sampler = threading.Thread(target=self._sample)
+        self.peak = 0
+
+    def _sample(self):
+        while not self._stop.is_set():
+            live = sum(
+                1
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-exec")
+                and thread not in self._others
+            )
+            self.peak = max(self.peak, live)
+            time.sleep(0.001)
+
+    def __enter__(self):
+        self._sampler.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._sampler.join(5.0)
+
+
+class TestAbandonedThreadCap:
+    """A deadline abandons a pool whose stalled shard keeps its thread; the
+    executor never lets live worker threads exceed ``2 × workers``."""
+
+    def test_repeated_stalls_stay_under_the_cap(self, random_graph):
+        reference = parallel_crashsim(
+            random_graph, 0, params=PARAMS, seed=42, workers=1, shards=16
+        )
+        reset_default_executors()
+        executor = ParallelExecutor(2)
+        plan = {"shard": {"2": {"kind": "delay", "seconds": 3, "times": 5}}}
+        with _PoolThreadPeak() as threads:
+            try:
+                with faults.active(plan), warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegradedResultWarning)
+                    for _ in range(5):
+                        started = time.monotonic()
+                        try:
+                            parallel_crashsim(
+                                random_graph, 0, params=PARAMS, seed=42,
+                                executor=executor, deadline=0.5, shards=16,
+                            )
+                        except DeadlineExceededError:
+                            pass  # no shard ran: the cap kept the pool unbuilt
+                        assert time.monotonic() - started < 1.5
+                # While stalled shards hold threads this query runs
+                # serially; it must match serial bits either way.
+                stalled = parallel_crashsim(
+                    random_graph, 0, params=PARAMS, seed=42, executor=executor,
+                    shards=16,
+                )
+                for thread in list(executor._abandoned_threads):
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+                pooled = parallel_crashsim(
+                    random_graph, 0, params=PARAMS, seed=42, executor=executor,
+                    shards=16,
+                )
+                assert not executor.serial
+            finally:
+                executor.close()
+        assert 2 <= threads.peak <= 4
+        assert to_hex(stalled.scores) == to_hex(reference.scores)
+        assert to_hex(pooled.scores) == to_hex(reference.scores)
+
+    def test_concurrent_runs_stay_under_the_cap(self):
+        # Three callers share one executor and every task stalls past the
+        # deadline; staggered starts leave some runs sole in flight, so
+        # pools are abandoned and rebuilt from all three threads.
+        executor = ParallelExecutor(2)
+        expiries = []
+
+        def stalled(task):
+            time.sleep(0.3)
+            return task
+
+        def caller(ordinal):
+            for attempt in range(8):
+                time.sleep(0.02 * ((ordinal * 3 + attempt) % 4))
+                outcome = executor.run(stalled, range(2), deadline=0.03)
+                expiries.append(outcome.deadline_hit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+        with _PoolThreadPeak() as threads:
+            try:
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+                executor.close()
+        assert len(expiries) == 24 and all(expiries)
+        assert threads.peak <= 4
+
+    def test_run_without_deadline_goes_serial_over_the_cap(self):
+        executor = ParallelExecutor(2)
+        release = threading.Event()
+        try:
+            # Abandon two pools whose threads block until released.
+            for _ in range(2):
+                outcome = executor.run(
+                    lambda _: release.wait(10.0), range(2), deadline=0.05
+                )
+                assert outcome.deadline_hit
+            assert len(executor._abandoned_threads) == 4
+            assert executor.run(abs, [-1, -2]).results == [1, 2]
+            assert executor.serial
+            release.set()
+            for thread in list(executor._abandoned_threads):
+                thread.join(10.0)
+                assert not thread.is_alive()
+            assert executor.run(abs, [-3]).results == [3]
+            assert not executor.serial
+        finally:
+            release.set()
+            executor.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """The promised public surface of the ``repro`` package."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import repro
 
 
@@ -28,3 +33,38 @@ class TestPublicApi:
         )
         expected = sorted(builder.node_id(x) for x in ("b", "c", "d"))
         assert sorted(result.as_dict()) == expected
+
+
+IMPORT_HYGIENE_SCRIPT = """
+import sys
+
+import repro
+
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+from repro import power_method_all_pairs
+from repro.baselines import probesim
+from repro.datasets.example_graph import example_graph
+
+graph = example_graph()
+exact = power_method_all_pairs(graph, 0.6, iterations=10)
+assert exact.shape == (graph.num_nodes, graph.num_nodes)
+scores = probesim(graph, 0, n_r=20, seed=1)
+assert scores.shape == (graph.num_nodes,)
+assert "scipy.sparse" in sys.modules
+"""
+
+
+class TestImportHygiene:
+    def test_import_leaves_scipy_unloaded(self):
+        """No query path needs scipy; the baselines that build sparse
+        matrices import it when they first build one."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", IMPORT_HYGIENE_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
