@@ -45,9 +45,10 @@ class ScoreVector(np.ndarray):
       planned (deadline hit, shards lost);
     * ``trials_completed`` — Monte-Carlo trials actually averaged
       (``None`` for non-Monte-Carlo methods);
-    * ``achieved_epsilon`` — the honest Lemma-3 bound at that trial count
-      (``None`` when not computed, e.g. the exact oracle); for adaptive
-      runs the better of that bound and the empirical-Bernstein bound;
+    * ``achieved_epsilon`` — the honest Lemma-3 bound at that trial count,
+      set on every CrashSim answer (``None`` for non-Monte-Carlo methods,
+      e.g. the exact oracle); for adaptive runs the better of that bound
+      and the empirical-Bernstein bound;
     * ``stopped_early`` — adaptive runs only: the empirical-Bernstein
       stopper converged before ``n_r`` trials, a *full-quality* early stop
       (not a degradation);

@@ -411,13 +411,15 @@ def exact_expectation(graph, tree, *, l_max: int, c: float) -> np.ndarray:
 
 @dataclass
 class AdaptiveOutcome:
-    """What an adaptive run produced, before score assembly.
+    """What a trial run produced, before score assembly.
 
     ``totals`` carries the summed per-candidate crash totals over
     ``trials_used`` trials (flattened ``(q·k,)`` for multi-source).
     ``degraded`` is only set when the run was *interrupted* (deadline,
     lost shards) before the stopper converged — an early stop with the
-    bound met is a full-quality answer.
+    bound met is a full-quality answer.  A fixed-``n_r`` run produces the
+    same record as one round with no stopper: never ``converged`` or
+    ``stopped_early``, ``degraded`` when shards were lost.
     """
 
     totals: np.ndarray

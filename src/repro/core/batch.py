@@ -190,18 +190,19 @@ def crashsim_batch(
                 multi=True,
                 seed=queries[members[0]].seed,
             )
-        for row, index in enumerate(members):
-            estimates[index] = shared._replace(totals=shared.totals[row])
+        rows = shared.totals.reshape(len(members), -1)
+        for totals, index in zip(rows, members):
+            estimates[index] = (shared, totals)
         counts["shared_walk_groups"] += 1
         counts["coalesced_queries"] += len(members)
 
     results: List[CrashSimResult] = []
     for index, (query, item) in enumerate(zip(queries, prepared)):
-        estimate = estimates.get(index)
-        if estimate is None:
-            estimate = trials(item.tree, item.targets, multi=False, seed=query.seed)
+        if index not in estimates:
+            solo = trials(item.tree, item.targets, multi=False, seed=query.seed)
+            estimates[index] = (solo, solo.totals)
             counts["solo_queries"] += 1
-        results.append(_epilogue(graph, item, estimate, params))
+        results.append(_epilogue(graph, item, *estimates[index], params))
     if stats is not None:
         for key, value in counts.items():
             stats[key] = stats.get(key, 0) + value

@@ -10,10 +10,10 @@ The algorithm:
 4. average the trials.
 
 The trial loop is the shared driver in :mod:`repro.parallel.runner`: a
-fixed-``n_r`` run is its classic one-stream case (every trial drawn from
-the caller's generator through one fused
-:class:`~repro.walks.kernel.WalkCrashKernel` pass), and ``adaptive=True``
-runs its sharded rounds on the ``workers=1`` inline executor.
+fixed-``n_r`` run is its one-shard plan on the caller's generator (every
+trial drawn through one fused :class:`~repro.walks.kernel.WalkCrashKernel`
+pass — the classic one-stream layout), and ``adaptive=True`` runs its
+sharded rounds on the ``workers=1`` inline executor.
 
 Estimator switches (DESIGN.md §2):
 
@@ -27,6 +27,7 @@ Estimator switches (DESIGN.md §2):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Literal, Optional, Tuple
 
@@ -78,9 +79,10 @@ class CrashSimResult:
     achieved_epsilon:
         Lemma 3 inverted at ``trials_completed``
         (:meth:`CrashSimParams.achieved_epsilon`); for adaptive runs the
-        *better* of that bound and the final empirical-Bernstein bound;
-        ``None`` for a fixed-``n_r`` serial :func:`crashsim`, which does
-        not compute it.
+        *better* of that bound and the final empirical-Bernstein bound.
+        Every run of the query drivers sets it, the fixed-``n_r`` serial
+        :func:`crashsim` included; ``None`` only on a result built by
+        hand.
     stopped_early:
         Adaptive runs only: the empirical-Bernstein stopper converged
         before ``n_r`` trials, so the run skipped the rest.  Unlike
@@ -297,8 +299,10 @@ def _accumulate_crashes_dp(
     graph: DiGraph,
     tree: ReverseReachableTree,
     targets: np.ndarray,
-    n_r: int,
-    params: CrashSimParams,
+    n_trials: int,
+    *,
+    c: float,
+    l_max: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Exact first-meeting accumulation.
@@ -314,16 +318,16 @@ def _accumulate_crashes_dp(
     if targets.size == 0:
         return totals
     transition = graph.reverse_transition_matrix()  # rows: current, cols: next
-    sqrt_c = params.sqrt_c
-    stepper = BatchWalkStepper(graph, params.c)
+    sqrt_c = math.sqrt(c)
+    stepper = BatchWalkStepper(graph, c)
     n = graph.num_nodes
-    for _ in range(n_r):
-        paths = stepper.sample_paths(targets, params.l_max, seed=rng)
+    for _ in range(n_trials):
+        paths = stepper.sample_paths(targets, l_max, seed=rng)
         for index in range(targets.size):
             path = paths[index]
             occupancy = np.zeros(n, dtype=np.float64)
             occupancy[tree.source] = 1.0
-            for step in range(1, params.l_max + 1):
+            for step in range(1, l_max + 1):
                 position = path[step]
                 if position < 0:
                     break

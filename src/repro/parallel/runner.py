@@ -1,8 +1,8 @@
-"""The CrashSim trial driver: one sequence for serial and sharded queries.
+"""The CrashSim trial driver: one trial loop for every query.
 
 Algorithm 1's ``n_r`` Monte-Carlo trials are mutually independent, so every
-query — serial or sharded, fixed ``n_r`` or adaptive — runs the same five
-steps, and each is written here once:
+query — serial or sharded, one source or many, fixed ``n_r`` or adaptive —
+runs the same steps in one body (:func:`_run_trials`), each written once:
 
 1. **validate** — one prologue and epilogue per query shape
    (:func:`_prologue` / :func:`_epilogue` for a single source, shared by
@@ -12,14 +12,24 @@ steps, and each is written here once:
 2. **plan** — a fixed shard plan (autotuned by :func:`plan_shards`, a pure
    function of the query shape, never of the worker count or the clock),
    each shard seeded by its own ``spawn`` child of the master
-   :class:`~numpy.random.SeedSequence`;
-3. **run** — one shard body (in :func:`_map_shards`), each shard on its
-   own RNG stream, with the kernel ``accumulate*`` method chosen in one
-   place (:func:`_accumulate`);
-4. **fold** — shard totals summed, or shard moments fed to the adaptive
-   stopper, in shard order;
-5. **settle** — one fault rule (:func:`_settle`): a run with no completed
+   :class:`~numpy.random.SeedSequence`.  A one-stream run is the
+   one-shard plan whose stream is the caller's generator;
+3. **set up** — one rule (:func:`_setup`) decides the dense ``U`` input
+   every round and shard reads, all trees and the hub cache charged
+   against one dense-row budget;
+4. **run** — one ``run_round`` per slice of the plan, each shard on its
+   own RNG stream, with the kernel method chosen in one place
+   (:func:`_accumulate`, which also picks the ``first_meeting="dp"``
+   program);
+5. **fold** — in shard order: a fixed run is one round whose shard totals
+   are summed, an adaptive run feeds round slices to the stopper through
+   :func:`~repro.core.adaptive.drive_adaptive_rounds`;
+6. **settle** — one fault rule (:func:`_settle`): a run with no completed
    trial raises, a partial one returns ``degraded`` with a warning.
+
+Every run comes out as one record, an
+:class:`~repro.core.adaptive.AdaptiveOutcome`, so every result carries
+``trials_completed`` and ``achieved_epsilon``.
 
 Because neither the shard boundaries nor the seed derivation depend on how
 many workers run them, **any** worker count — including ``workers=1`` —
@@ -29,9 +39,10 @@ adaptive :func:`~repro.core.crashsim.crashsim` and
 :func:`~repro.core.multi_source.crashsim_multi_source` run on the
 ``workers=1`` inline executor, and their fixed-``n_r`` runs are the classic
 one-stream case — every trial drawn from the caller's generator as one
-shard, the layout the pinned seed fixtures define.
+shard, the layout the pinned seed fixtures define.  That shard runs on the
+caller's thread and kernel: no executor, no retry, no fault site.
 
-Shards run as in-process closures over the query's arrays on a
+Sharded runs execute as in-process closures over the query's arrays on a
 :class:`~repro.parallel.executor.ParallelExecutor` thread pool (or inline on
 the serial ``workers=1`` executor), each thread scoring through its own
 preallocated :class:`~repro.walks.kernel.WalkCrashKernel` from a
@@ -43,8 +54,9 @@ instead of paying pool construction per query.
 
 :func:`parallel_crashsim_multi_source` shards the same way but keeps the
 multi-source walk-sharing amortisation: every shard scores its walks against
-*all* sources' trees (stacked into one shared 3-D array), so the dominant
-walk-generation cost is still paid once per trial, not once per source.
+*all* sources' trees (one shared 3-D array when they fit the budget), so
+the dominant walk-generation cost is still paid once per trial, not once
+per source.
 """
 
 from __future__ import annotations
@@ -160,16 +172,14 @@ def shard_sizes(n_trials: int, shards: int = DEFAULT_SHARDS) -> List[int]:
     return [base + 1] * remainder + [base] * (count - remainder)
 
 
-def plan_shards(
-    n_trials: int, num_targets: int, *, n_r: Optional[int] = None
-) -> List[int]:
+def plan_shards(n_trials: int, num_targets: int) -> List[int]:
     """Autotuned trial-shard plan: each shard worth ≥ ~20ms of walking.
 
-    A **pure function** of the query shape ``(n_trials, num_targets,
-    n_r)`` — never of the worker count, the CPU count, or a wall-clock
-    probe — because the shard boundaries define the per-shard RNG streams:
-    any machine-dependence here would break the byte-identical-at-any-
-    worker-count contract and make results irreproducible across hosts.
+    A **pure function** of the query shape ``(n_trials, num_targets)`` —
+    never of the worker count, the CPU count, or a wall-clock probe —
+    because the shard boundaries define the per-shard RNG streams: any
+    machine-dependence here would break the byte-identical-at-any-worker-
+    count contract and make results irreproducible across hosts.
 
     The estimate is nominal, not measured: one trial walks every target
     for ~``1/(1-√c)`` steps, costed at
@@ -178,40 +188,25 @@ def plan_shards(
     — parallel dispatch cannot win there — while big ones split until
     either every shard meets :data:`TARGET_SHARD_SECONDS` or the
     :data:`MAX_SHARDS` cap is hit.
-
-    ``n_r`` (the planned full-quality trial count, defaulting to
-    ``n_trials``) keeps the *shard size* stable if a caller ever plans a
-    partial re-run: sizing from the full run means a resumed remainder
-    splits on the same ≥ 20ms granularity.
     """
     if n_trials < 0:
         raise ParameterError(f"n_trials must be non-negative, got {n_trials}")
     if n_trials == 0:
         return []
-    planned = n_trials if n_r is None else max(int(n_r), 1)
     per_trial = max(int(num_targets), 1) * NOMINAL_TARGET_TRIAL_SECONDS
     trials_per_shard = max(1, int(TARGET_SHARD_SECONDS / per_trial))
-    count = min(MAX_SHARDS, math.ceil(planned / trials_per_shard), n_trials)
+    count = min(MAX_SHARDS, math.ceil(n_trials / trials_per_shard))
     return shard_sizes(n_trials, max(count, 1))
-
-
-class _Estimate(NamedTuple):
-    """A finished trial run, as the epilogue needs it."""
-
-    totals: np.ndarray
-    trials: int
-    degraded: bool = False
-    achieved_epsilon: Optional[float] = None
-    stopped_early: bool = False
 
 
 @dataclass(frozen=True)
 class _Job:
-    """What every shard of one query runs, apart from its size and seed.
+    """What every shard of one query runs, apart from its size and stream.
 
     ``multi`` scores each walk against a stack of source trees; ``moments``
     returns per-candidate ``(totals, sumsq)`` for the adaptive stopper,
-    retiring walks through ``hub_cache`` when one is set.
+    retiring walks through ``hub_cache`` when one is set; ``first_meeting``
+    ``"dp"`` swaps the kernel for the exact first-meeting program.
     """
 
     c: float
@@ -220,6 +215,7 @@ class _Job:
     multi: bool
     moments: bool = False
     hub_cache: Optional[HubCache] = None
+    first_meeting: str = "none"
 
 
 def _accumulate(kernel, job: _Job, tree, targets, trials, rng) -> np.ndarray:
@@ -228,6 +224,10 @@ def _accumulate(kernel, job: _Job, tree, targets, trials, rng) -> np.ndarray:
     Moments come back stacked as one ``(2, ...)`` array of
     ``(totals, sumsq)``, so every shard result is a single ndarray.
     """
+    if job.first_meeting == "dp":
+        return _accumulate_crashes_dp(
+            kernel.graph, tree, targets, trials, c=job.c, l_max=job.l_max, rng=rng
+        )
     if job.multi:
         trees = list(tree)
         if job.moments:
@@ -252,9 +252,9 @@ def _accumulate(kernel, job: _Job, tree, targets, trials, rng) -> np.ndarray:
 class _Inputs(NamedTuple):
     """What every round and shard of one query reads, set up once.
 
-    ``tree`` is the sparse source tree, the query's dense ``U`` matrix
-    (:func:`_fill_matrix`), or a multi-source job's stacked
-    ``(q, l_max + 1, n)`` array.
+    ``tree`` is the source tree or, for a multi-source job, the sequence
+    of source trees; either may be the query's dense ``U`` matrix
+    (:func:`_setup`), ``(l_max + 1, n)`` or ``(q, l_max + 1, n)``.
     """
 
     graph: object
@@ -265,15 +265,41 @@ class _Inputs(NamedTuple):
 def _fill_matrix(tree, matrix: np.ndarray) -> np.ndarray:
     """Write the sparse tree's levels into the zero ``matrix``; return it.
 
-    Every shard of a query reads the same rows.  Built once, the matrix
-    replaces a lazy row cache per shard.  Built from
-    the level arrays, not ``SparseReverseTree.matrix``: that caches on the
-    tree, which a serving engine's LRU keeps long after the query.
+    Built from the level arrays, not ``SparseReverseTree.matrix``: that
+    caches on the tree, which a serving engine's LRU keeps long after the
+    query.
     """
     for step in range(matrix.shape[0]):
         nodes, probs = tree.level_arrays(step)
         matrix[step, nodes] = probs
     return matrix
+
+
+def _setup(
+    graph, trees: Sequence, targets: np.ndarray, job: _Job, *, shared: bool
+) -> _Inputs:
+    """The query's dense input: one rule for single and multi runs.
+
+    A query whose tree rows are read by more than one kernel call
+    (``shared``: several shards, or adaptive rounds) gets one dense ``U``
+    matrix for all of them, in place of a lazy row cache per call — when
+    every tree has level arrays and all ``q`` matrices fit
+    :data:`~repro.walks.kernel.DEFAULT_DENSE_ROW_BUDGET` beside the hub
+    cache, the rule under which a kernel call would not cache rows either.
+    Otherwise the trees go to the kernel as they are.
+    """
+    matrix_bytes = len(trees) * (job.l_max + 1) * graph.num_nodes * 8
+    reserved = job.hub_cache.nbytes if job.hub_cache is not None else 0
+    if (
+        shared
+        and all(hasattr(tree, "level_arrays") for tree in trees)
+        and matrix_bytes + reserved <= DEFAULT_DENSE_ROW_BUDGET
+    ):
+        matrix = np.zeros((len(trees), job.l_max + 1, graph.num_nodes))
+        for tree, rows in zip(trees, matrix):
+            _fill_matrix(tree, rows)
+        trees = matrix
+    return _Inputs(graph, trees if job.multi else trees[0], targets)
 
 
 # KernelPools are cached on the DiGraph itself (a dedicated slot), keyed by
@@ -322,7 +348,7 @@ def _map_shards(
     seeds: Sequence[np.random.SeedSequence],
     *,
     deadline: Optional[float],
-    index_offset: int = 0,
+    index_offset: int,
 ) -> MapOutcome:
     """Run a slice of the shard plan on ``executor``, in shard order.
 
@@ -462,131 +488,59 @@ def _settle(
         f"to {cause}; {trials}/{n_r} trials give the honest bound "
         f"ε={achieved:.4g} (target ε={params.epsilon})",
         DegradedResultWarning,
-        stacklevel=6,
+        stacklevel=5,
     )
 
 
-def _plan(n_r: int, num_targets: int, shards: Optional[int]) -> List[int]:
-    """The query's shard plan: autotuned, or ``shards`` near-equal parts.
+def _plan(n_r: int, num_estimates: int, shards: Optional[int]) -> List[int]:
+    """A sharded query's plan: autotuned, or ``shards`` near-equal parts.
 
-    ``num_targets`` counts walk targets times sources: a multi-source walk
-    is scored against all ``q`` trees, so its trial costs ~q× the
-    single-source nominal.
+    ``num_estimates`` counts walk targets times sources: a multi-source
+    walk is scored against all ``q`` trees, so its trial costs ~q× the
+    single-source nominal.  A query with nothing to estimate plans no
+    shard.
     """
+    if not num_estimates:
+        return []
     if shards is None:
-        plan = plan_shards(n_r, num_targets, n_r=n_r)
+        plan = plan_shards(n_r, num_estimates)
     else:
         plan = shard_sizes(n_r, shards)
     _M_SHARD_PLAN.set(len(plan))
     return plan
 
 
-def _run_fixed(
-    executor: ParallelExecutor,
-    inputs: _Inputs,
-    job: _Job,
-    params: CrashSimParams,
-    *,
-    plan: Sequence[int],
-    seed_seq: np.random.SeedSequence,
-    num_nodes: int,
-    shape: tuple,
-    deadline: Optional[float],
-    started: float,
-    log_context: dict,
-) -> _Estimate:
-    """All ``n_r`` trials in one sharded map, summed in shard order."""
-    n_r = sum(plan)
-    outcome = _map_shards(
-        executor,
-        inputs,
-        job,
-        plan,
-        seed_seq.spawn(len(plan)),
-        deadline=_remaining_budget(deadline, started),
-    )
-    trials = sum(size for size, done in zip(plan, outcome.completed) if done)
-    achieved = params.achieved_epsilon(num_nodes, max(trials, 1))
-    _settle(
-        outcome, trials, degraded=trials < n_r, achieved=achieved,
-        planned=len(plan), n_r=n_r, params=params, deadline=deadline,
-        log_context=log_context,
-    )
-    # Sum in shard order: float addition order is part of the
-    # worker-count-independence contract.  Lost shards are skipped, not
-    # zero-filled — the divisor shrinks with them.
-    totals = np.zeros(shape, dtype=np.float64)
-    for shard_total, done in zip(outcome.results, outcome.completed):
-        if done:
-            totals += shard_total
-    return _Estimate(totals, trials, trials < n_r, achieved)
-
-
-def _run_adaptive(
-    executor: ParallelExecutor,
-    inputs: _Inputs,
-    job: _Job,
-    params: CrashSimParams,
-    *,
-    plan: Sequence[int],
-    seed_seq: np.random.SeedSequence,
-    num_nodes: int,
-    num_estimates: int,
-    value_bound,
-    deadline: Optional[float],
-    started: float,
-    log_context: dict,
+def _sum_round(
+    plan: Sequence[int], streams: Sequence, run_round, *, num_estimates: int,
+    n_r: int, num_nodes: int, params: CrashSimParams,
 ) -> AdaptiveOutcome:
-    """Adaptive rounds over the shard plan.
+    """A fixed run: one round holding the whole plan, summed in shard order.
 
-    One deterministic plan + seed spawn covers the whole potential run;
-    rounds are plan *slices* mapped through :func:`_map_shards`, the
-    stopper folds completed shard moments in shard order, and the stop
-    decision happens between rounds — so the result is byte-identical at
-    any worker count, ``workers=1`` included.  The deadline
-    budget is re-measured before every round; an expiry mid-run keeps
-    whatever rounds completed.
+    Float addition order is part of the worker-count-independence
+    contract.  Lost shards are skipped, not zero-filled, and their trials
+    come off ``n_r``: the divisor shrinks with them.
     """
-    n_r = params.n_r(num_nodes)
-    seeds = seed_seq.spawn(len(plan))
-    stopper = AdaptiveStopper(
-        params, num_estimates, value_bound, len(plan_rounds(len(plan)))
+    # An empty plan (nothing to estimate) runs no round, as in the
+    # adaptive loop.
+    results, _ = run_round(0, plan, streams) if plan else ([], False)
+    totals = np.zeros(num_estimates, dtype=np.float64)
+    trials = n_r
+    for size, result in zip(plan, results):
+        if result is None:
+            trials -= size
+        else:
+            totals += result.ravel()
+    return AdaptiveOutcome(
+        totals=totals,
+        trials_used=trials,
+        n_r=n_r,
+        rounds_run=1,
+        stopped_early=False,
+        converged=False,
+        degraded=trials < n_r,
+        achieved_epsilon=params.achieved_epsilon(num_nodes, max(trials, 1)),
+        shards_lost=sum(result is None for result in results),
     )
-    attempted = MapOutcome()
-
-    def run_round(start, sizes, round_seeds):
-        try:
-            remaining = _remaining_budget(deadline, started)
-        except DeadlineExceededError:
-            if stopper.trials == 0:
-                raise
-            attempted.completed.extend([False] * len(sizes))
-            attempted.deadline_hit = True
-            return [None] * len(sizes), True
-        outcome = _map_shards(
-            executor, inputs, job, sizes, round_seeds,
-            deadline=remaining, index_offset=start,
-        )
-        attempted.completed.extend(outcome.completed)
-        attempted.errors.extend(outcome.errors)
-        attempted.deadline_hit |= outcome.deadline_hit
-        attempted.cancelled |= outcome.cancelled
-        results = [
-            moments if done else None
-            for moments, done in zip(outcome.results, outcome.completed)
-        ]
-        return results, outcome.deadline_hit or outcome.cancelled
-
-    result = drive_adaptive_rounds(
-        plan, seeds, stopper, run_round, num_nodes=num_nodes, n_r=n_r
-    )
-    attempted.elapsed = time.monotonic() - started
-    _settle(
-        attempted, result.trials_used, degraded=result.degraded,
-        achieved=result.achieved_epsilon, planned=len(plan), n_r=n_r,
-        params=params, deadline=deadline, log_context=log_context,
-    )
-    return result
 
 
 def _run_trials(
@@ -608,108 +562,112 @@ def _run_trials(
     started: float = 0.0,
     log_context: Optional[dict] = None,
     kernel: Optional[WalkCrashKernel] = None,
-) -> _Estimate:
-    """Plan, run, fold and settle one query's trials.
+) -> AdaptiveOutcome:
+    """Plan, set up, run, fold and settle one query's trials.
 
     ``tree`` is the source's tree, or the list of source trees when
-    ``multi``.  ``one_stream`` runs a fixed-``n_r`` query as the classic
-    serial estimator — every trial on the caller's generator, no executor,
-    on ``kernel`` when one is passed warm; adaptive queries always shard.
-    ``started`` and ``log_context`` are read only by sharded runs.
+    ``multi``.  Every query runs the same body:
 
-    A sharded query sets up once what all its rounds and shards read: the
-    hub cache and the dense ``U`` matrix (:func:`_fill_matrix`; for an
-    adaptive query, or a fixed one split over more than one shard, when it
-    fits the budget).
+    * **streams** — ``one_stream`` (fixed ``n_r`` only; adaptive queries
+      always shard) is a one-shard plan whose stream is the caller's
+      generator; it runs inline on ``kernel`` (or a fresh one), never on
+      an executor or a pooled kernel, with no retry (a retry would redraw
+      from a consumed generator) and no fault site.  A sharded plan draws
+      one ``spawn`` child per shard and runs on ``executor``;
+    * **setup** — the hub cache (adaptive single-source) and the dense
+      input (:func:`_setup`), once for every round and shard;
+    * **run and fold** — ``run_round`` maps one slice of the plan; a fixed
+      run is one round summed in shard order (:func:`_sum_round`), an
+      adaptive run feeds :func:`~repro.core.adaptive.plan_rounds` slices
+      through :func:`~repro.core.adaptive.drive_adaptive_rounds`;
+    * **settle** — :func:`_settle`, once.
+
+    ``started`` and ``log_context`` are read only by sharded runs.
+    Returns the run's one record, its ``totals`` flat over ``(q·k,)``.
     """
     if deadline is not None and deadline <= 0:
         raise ParameterError(f"deadline must be positive, got {deadline}")
     num_nodes = max(graph.num_nodes, 2)
     n_r = params.n_r(num_nodes)
-    job = _Job(params.c, params.l_max, sampler, multi)
-    num_sources = len(tree) if multi else 1
-    shape = (num_sources, targets.size) if multi else (targets.size,)
-    if one_stream and not adaptive:
-        rng = ensure_rng(seed)
-        if first_meeting == "dp":
-            totals = _accumulate_crashes_dp(graph, tree, targets, n_r, params, rng)
-        else:
-            if kernel is None:
-                kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
-            totals = _accumulate(kernel, job, tree, targets, n_r, rng)
-        return _Estimate(totals, n_r)
-    if executor is None:
-        executor = get_default_executor(workers)
-    seed_seq = as_seed_sequence(seed)
-    sparse_trees = tree if multi else [tree]
-    if multi:
-        tree = np.stack([t.matrix for t in sparse_trees])
-    num_estimates = targets.size * num_sources
-    if not num_estimates:
-        if not adaptive:
-            achieved = params.achieved_epsilon(num_nodes, n_r)
-            return _Estimate(np.zeros(shape), n_r, False, achieved)
-        outcome = drive_adaptive_rounds(
-            [], [], AdaptiveStopper(params, 0, 0.0, 1), lambda *_: ([], False),
-            num_nodes=num_nodes, n_r=n_r,
+    trees = list(tree) if multi else [tree]
+    num_estimates = targets.size * len(trees)
+    job = _Job(
+        params.c, params.l_max, sampler, multi, moments=adaptive,
+        first_meeting=first_meeting,
+    )
+    inline = one_stream and not adaptive
+    if inline:
+        plan, streams = [n_r], [ensure_rng(seed)]
+        if kernel is None:
+            kernel = WalkCrashKernel(graph, params.c, sampler=sampler)
+    else:
+        plan = _plan(n_r, num_estimates, shards)
+        streams = as_seed_sequence(seed).spawn(len(plan))
+        if executor is None:
+            executor = get_default_executor(workers)
+    if adaptive and not multi:
+        job = replace(
+            job,
+            hub_cache=build_hub_cache(graph, trees[0], l_max=job.l_max, c=job.c),
         )
-        return _Estimate(
-            outcome.totals.reshape(shape), 0, False, outcome.achieved_epsilon
+    inputs = _setup(graph, trees, targets, job, shared=adaptive or len(plan) > 1)
+    attempted = MapOutcome()
+
+    def run_round(start, sizes, round_streams):
+        if inline:
+            results = [
+                _accumulate(kernel, job, inputs.tree, targets, trials, rng)
+                for trials, rng in zip(sizes, round_streams)
+            ]
+            attempted.completed.extend([True] * len(results))
+            return results, False
+        try:
+            remaining = _remaining_budget(deadline, started)
+        except DeadlineExceededError:
+            if not any(attempted.completed):
+                raise
+            attempted.completed.extend([False] * len(sizes))
+            attempted.deadline_hit = True
+            return [None] * len(sizes), True
+        outcome = _map_shards(
+            executor, inputs, job, sizes, round_streams,
+            deadline=remaining, index_offset=start,
         )
-    plan = _plan(n_r, num_estimates, shards)
+        attempted.completed.extend(outcome.completed)
+        attempted.errors.extend(outcome.errors)
+        attempted.deadline_hit |= outcome.deadline_hit
+        attempted.cancelled |= outcome.cancelled
+        results = [
+            result if done else None
+            for result, done in zip(outcome.results, outcome.completed)
+        ]
+        return results, outcome.deadline_hit or outcome.cancelled
+
     if adaptive:
-        job = replace(job, moments=True)
-        if not multi:
-            job = replace(
-                job,
-                hub_cache=build_hub_cache(graph, tree, l_max=job.l_max, c=job.c),
-            )
-    # The dense matrix must fit the kernel's dense-row budget beside the
-    # hub cache: the rule under which a shard would not cache rows either.
-    matrix_bytes = (job.l_max + 1) * graph.num_nodes * 8
-    reserved = job.hub_cache.nbytes if job.hub_cache is not None else 0
-    dense = (
-        not multi
-        and hasattr(tree, "level_arrays")
-        and (adaptive or len(plan) > 1)
-        and matrix_bytes + reserved <= DEFAULT_DENSE_ROW_BUDGET
-    )
-    if dense:
-        matrix = np.zeros((job.l_max + 1, graph.num_nodes), dtype=np.float64)
-        tree = _fill_matrix(tree, matrix)
-    inputs = _Inputs(graph, tree, targets)
-    if not adaptive:
-        return _run_fixed(
-            executor, inputs, job, params,
-            plan=plan,
-            seed_seq=seed_seq,
-            num_nodes=num_nodes,
-            shape=shape,
-            deadline=deadline,
-            started=started,
-            log_context=log_context,
+        # Per-walk ranges sum each sparse tree's level maxima in order; a
+        # numpy sum over the stacked rows may round differently.
+        bounds = [walk_value_bound(t, params.l_max) for t in trees]
+        stopper = AdaptiveStopper(
+            params,
+            num_estimates,
+            np.repeat(bounds, targets.size) if multi else bounds[0],
+            len(plan_rounds(len(plan))),
         )
-    # Per-walk ranges sum each sparse tree's level maxima in order; a
-    # numpy sum over the stacked rows may round differently.
-    bounds = [walk_value_bound(t, params.l_max) for t in sparse_trees]
-    outcome = _run_adaptive(
-        executor, inputs, job, params,
-        plan=plan,
-        seed_seq=seed_seq,
-        num_nodes=num_nodes,
-        num_estimates=num_estimates,
-        value_bound=np.repeat(bounds, targets.size) if multi else bounds[0],
-        deadline=deadline,
-        started=started,
-        log_context=log_context,
+        result = drive_adaptive_rounds(
+            plan, streams, stopper, run_round, num_nodes=num_nodes, n_r=n_r
+        )
+    else:
+        result = _sum_round(
+            plan, streams, run_round, num_estimates=num_estimates, n_r=n_r,
+            num_nodes=num_nodes, params=params,
+        )
+    attempted.elapsed = time.monotonic() - started
+    _settle(
+        attempted, result.trials_used, degraded=result.degraded,
+        achieved=result.achieved_epsilon, planned=len(plan), n_r=n_r,
+        params=params, deadline=deadline, log_context=log_context or {},
     )
-    return _Estimate(
-        outcome.totals.reshape(shape),
-        outcome.trials_used,
-        outcome.degraded,
-        outcome.achieved_epsilon,
-        outcome.stopped_early,
-    )
+    return result
 
 
 def _check_source(graph, source) -> int:
@@ -768,12 +726,20 @@ def _prologue(
 
 
 def _epilogue(
-    graph, query: _Query, estimate: _Estimate, params: CrashSimParams
+    graph,
+    query: _Query,
+    estimate: AdaptiveOutcome,
+    totals: np.ndarray,
+    params: CrashSimParams,
 ) -> CrashSimResult:
-    """Assemble one query's scores from its trial totals."""
+    """Assemble one query's scores from its trial ``totals``.
+
+    ``estimate`` is the run's record; ``totals`` are this query's walk
+    targets' share of it (a multi-tree run's row).
+    """
     scores = np.zeros(query.candidates.size, dtype=np.float64)
     walk_positions = np.searchsorted(query.candidates, query.targets)
-    scores[walk_positions] = estimate.totals / max(estimate.trials, 1)
+    scores[walk_positions] = totals / max(estimate.trials_used, 1)
     scores[query.candidates == query.source] = 1.0
     return CrashSimResult(
         source=query.source,
@@ -782,7 +748,7 @@ def _epilogue(
         n_r=params.n_r(max(graph.num_nodes, 2)),
         params=params,
         tree=query.tree,
-        trials_completed=estimate.trials,
+        trials_completed=estimate.trials_used,
         degraded=estimate.degraded,
         achieved_epsilon=estimate.achieved_epsilon,
         stopped_early=estimate.stopped_early,
@@ -843,7 +809,7 @@ def drive_single(
         log_context={"source": query.source, "seed": seed},
         kernel=kernel,
     )
-    return _epilogue(graph, query, estimate, params)
+    return _epilogue(graph, query, estimate, estimate.totals, params)
 
 
 def drive_multi(
@@ -901,14 +867,14 @@ def drive_multi(
         log_context={"sources": source_list, "seed": seed},
     )
     # Each source's answer drops the source itself from the shared layout.
+    rows = estimate.totals.reshape(len(trees), walk_targets.size)
     results: List[CrashSimResult] = []
-    for row, (source, tree) in enumerate(zip(source_list, trees)):
+    for totals, source, tree in zip(rows, source_list, trees):
         keep = walk_targets != source
         query = _Query(
             source, candidate_array[candidate_array != source], walk_targets[keep], tree
         )
-        row_estimate = estimate._replace(totals=estimate.totals[row][keep])
-        results.append(_epilogue(graph, query, row_estimate, params))
+        results.append(_epilogue(graph, query, estimate, totals[keep], params))
     return results
 
 

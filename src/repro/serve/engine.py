@@ -556,7 +556,8 @@ class Engine:
             self.config.breaker_threshold, self.config.breaker_cooldown
         )
         # Same c/ε/δ (hence the same l_max, so warm trees and kernels are
-        # shared), just far fewer trials — the breaker's cheap mode.
+        # shared, and the same Lemma-3 pricing of achieved_epsilon), just
+        # far fewer trials — the breaker's cheap mode.
         self._breaker_params = CrashSimParams(
             c=self.config.c,
             epsilon=self.config.epsilon,
@@ -1238,19 +1239,12 @@ class Engine:
         scores[result.candidates] = result.scores
         scores[int(result.source)] = 1.0
         degraded = bool(result.degraded) or force_degraded
-        achieved = result.achieved_epsilon
-        if force_degraded and achieved is None:
-            # Breaker mode: the run *completed* at breaker_n_r trials, so
-            # price the honest ε against the engine's real parameters.
-            achieved = self.params.achieved_epsilon(
-                max(self.graph.num_nodes, 2), result.trials_completed
-            )
         vector = ScoreVector.wrap(
             scores,
             degraded=degraded,
             trials_completed=result.trials_completed,
-            achieved_epsilon=achieved,
-            stopped_early=getattr(result, "stopped_early", False),
+            achieved_epsilon=result.achieved_epsilon,
+            stopped_early=result.stopped_early,
             trace=trace,
         )
         if degraded:

@@ -125,6 +125,8 @@ class _TreeRows:
     taken.  Rows are cached lazily (each chunk revisits every step) unless
     the full cache would exceed ``budget`` bytes, in which case ``row()``
     returns ``None`` and the caller falls back to ``tree.gather``.
+    ``nbytes`` is what the cache may grow to: the share of the budget it
+    takes (dense trees' rows are views, and take none).
     """
 
     def __init__(self, tree, num_nodes: int, l_max: int, budget: int):
@@ -132,6 +134,7 @@ class _TreeRows:
         self._rows: Optional[list] = None
         self._level_arrays = None
         self._num_nodes = num_nodes
+        self.nbytes = 0
         if isinstance(tree, np.ndarray):
             matrix = tree
             self._gather = lambda step, positions: matrix[step, positions]
@@ -141,6 +144,7 @@ class _TreeRows:
                 if (l_max + 1) * num_nodes * 8 <= budget:
                     self._rows = [None] * (l_max + 1)
                     self._level_arrays = tree.level_arrays
+                    self.nbytes = (l_max + 1) * num_nodes * 8
                 return
             if not hasattr(tree, "matrix"):
                 return
@@ -197,8 +201,9 @@ class WalkCrashKernel:
         ``False`` forces pure NumPy, ``None`` (default) follows the
         ``REPRO_JIT`` environment toggle with automatic NumPy fallback.
     dense_row_budget:
-        Max bytes of dense ``U`` rows to cache per accumulate call; above
-        it the kernel reads through ``tree.gather`` (same bits, slower).
+        Max bytes of dense ``U`` rows to cache per accumulate call, every
+        tree's rows and the hub cache together; a tree whose rows do not
+        fit reads through ``tree.gather`` (same bits, slower).
     """
 
     def __init__(
@@ -517,10 +522,15 @@ class WalkCrashKernel:
             raise IndexError(
                 f"target {bad} is out of bounds for a {num_nodes}-node graph"
             )
+        # One budget for the call: the hub cache, then each tree's rows in
+        # turn; a tree whose rows no longer fit reads through its gather.
         budget = self.dense_row_budget
         if hub_cache is not None:
             budget = max(0, budget - hub_cache.nbytes)
-        all_rows = [_TreeRows(tree, num_nodes, l_max, budget) for tree in trees]
+        all_rows = []
+        for tree in trees:
+            all_rows.append(_TreeRows(tree, num_nodes, l_max, budget))
+            budget -= all_rows[-1].nbytes
         moments = sumsq is not None
         k = targets.size
         q = len(trees)

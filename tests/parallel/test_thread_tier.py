@@ -490,11 +490,10 @@ class TestPlanShards:
     @given(
         n_trials=st.integers(min_value=0, max_value=100_000),
         num_targets=st.integers(min_value=0, max_value=1_000_000),
-        n_r=st.one_of(st.none(), st.integers(min_value=1, max_value=100_000)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_plan_invariants(self, n_trials, num_targets, n_r):
-        plan = plan_shards(n_trials, num_targets, n_r=n_r)
+    def test_plan_invariants(self, n_trials, num_targets):
+        plan = plan_shards(n_trials, num_targets)
         # Conservation: every trial lands in exactly one shard.
         assert sum(plan) == n_trials
         # No empty shards, bounded count.
@@ -505,7 +504,7 @@ class TestPlanShards:
             assert max(plan) - min(plan) <= 1
         # Purity / worker-count independence: the plan takes no worker or
         # machine input at all, so re-planning must reproduce it exactly.
-        assert plan == plan_shards(n_trials, num_targets, n_r=n_r)
+        assert plan == plan_shards(n_trials, num_targets)
 
     def test_shard_plan_gauge_updates(self, random_graph):
         parallel_crashsim(
