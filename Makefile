@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-parallel test-chaos test-serve test-overload bench bench-tree bench-kernel bench-parallel serve-bench bench-overload bench-adaptive obs-smoke perf-smoke perfbench selftest experiments report examples clean
+.PHONY: install test test-parallel test-chaos test-serve test-overload bench perf-smoke perfbench selftest experiments report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -34,50 +34,9 @@ test-overload:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Sparse-vs-dense tree sweep; writes benchmarks/BENCH_tree.json and fails
-# if the sparse representation misses its speedup targets.
-bench-tree:
-	$(PYTHON) benchmarks/bench_tree.py
-
-# Fused walk–crash kernel vs the generator accumulator; writes row
-# $(BENCH_LABEL) of benchmarks/BENCH_kernel.json (other rows are kept)
-# and fails below the 2x / 1.5x targets.
-BENCH_LABEL ?= current
-bench-kernel:
-	$(PYTHON) benchmarks/bench_kernel.py --label "$(BENCH_LABEL)"
-
-# Thread pool vs serial on the 50k graph and the power-law fixture;
-# writes benchmarks/BENCH_parallel.json and fails if any worker count's
-# row drifts from the workers=1 scores.  Scaling needs real cores to show.
-bench-parallel:
-	$(PYTHON) benchmarks/bench_parallel.py
-
-# Serving-engine load generator: 8 concurrent clients vs sequential
-# dispatch on the 50k PA graph; writes benchmarks/BENCH_serve.json and
-# fails below the 1.5x batched-throughput target.
-serve-bench:
-	cd benchmarks && $(PYTHON) bench_serve.py
-
-# Overload load generator: 2x-capacity open-loop offered load, shed
-# (bounded queue) vs unbounded; writes benchmarks/BENCH_overload.json and
-# fails if shed-mode goodput drops below 0.8x the at-capacity goodput or
-# the queue bound is violated.
-bench-overload:
-	cd benchmarks && $(PYTHON) bench_overload.py
-
-# Adaptive sampling vs fixed n_r on the pinned 50k power-law fixture;
-# writes benchmarks/BENCH_adaptive.json and fails below 2x trials saved
-# or past ε=0.05 exact error on the adaptive leg.
-bench-adaptive:
-	cd benchmarks && $(PYTHON) bench_adaptive.py
-
-# Observability overhead gate: instrumented vs kill-switched kernel on
-# the 50k PA graph; writes benchmarks/BENCH_obs.json and fails if the
-# instrumented leg costs more than 3% (REPRO_OBS_OVERHEAD_BOUND).
-obs-smoke:
-	cd benchmarks && $(PYTHON) bench_obs.py
-
-# CI timing gate: generous multiple of benchmarks/baselines/tree_smoke.json.
+# CI perf gate (benchmarks/perf_smoke.py): wall-clocks within 10x of
+# benchmarks/baselines/perf_smoke.json and the tree, kernel, serve, obs,
+# overload, parallel, adaptive and multi-source ratio floors.
 perf-smoke:
 	cd benchmarks && $(PYTHON) perf_smoke.py
 

@@ -8,8 +8,8 @@ nodes (where the reverse-tree mass concentrates and the hub cache stores
 its tails) are also heavy out-degree nodes (where forward walks land).
 
 Everything is vectorised and deterministic for a fixed seed — the pinned
-50k-node fixture backs ``benchmarks/bench_adaptive.py`` and the perf-smoke
-gate, so its byte layout must never drift.
+50k-node fixture backs the adaptive gate of ``benchmarks/perf_smoke.py``,
+so its byte layout must never drift.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from repro.rng import RngLike, ensure_rng
 __all__ = ["zipf_powerlaw", "powerlaw_fixture", "POWERLAW_FIXTURE_SEED"]
 
 #: Seed of the pinned benchmark fixture.  Changing it invalidates the
-#: recorded adaptive perf-smoke baseline — treat it as frozen.
+#: recorded adaptive baseline in ``benchmarks/baselines/perf_smoke.json``
+#: — treat it as frozen.
 POWERLAW_FIXTURE_SEED = 1207
 
 
@@ -74,7 +75,7 @@ def powerlaw_fixture(
 
     50k nodes / 300k requested edges at the frozen
     :data:`POWERLAW_FIXTURE_SEED` — the graph the adaptive trials-saved
-    numbers in ``BENCH_adaptive.json`` and ``baselines/adaptive_smoke.json``
+    numbers in ``BENCH_adaptive.json`` and ``baselines/perf_smoke.json``
     are measured on.
     """
     return zipf_powerlaw(num_nodes, num_edges, seed=POWERLAW_FIXTURE_SEED)

@@ -12,7 +12,8 @@ Two halves, one import surface:
 
 Both halves are *provably inert*: they never draw from an RNG, never
 reorder work, and their entire hot-path cost is a handful of integer adds
-— the seed-behaviour fixtures and the ``obs-smoke`` perf gate pin this.
+— the seed-behaviour fixtures and the obs gate of
+``benchmarks/perf_smoke.py`` pin this.
 """
 
 from repro.obs.registry import (

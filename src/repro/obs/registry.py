@@ -13,7 +13,7 @@ or the engine dispatcher — at the expense of the cold one (scrapes):
   hundred nanoseconds of lock traffic;
 * **kill switch** — :func:`set_enabled` (or ``REPRO_OBS=0`` in the
   environment) turns every mutation into an early return, which is what
-  the ``bench_obs`` overhead gate measures against.
+  the obs overhead gate in ``benchmarks/perf_smoke.py`` measures against.
 
 Metrics never touch the RNG, never reorder work, and never raise from the
 mutation path, so instrumented runs are byte-identical to uninstrumented

@@ -1,7 +1,5 @@
 """Tests for multi-source CrashSim with shared candidate walks."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -55,25 +53,42 @@ class TestCorrectness:
 
 
 class TestAmortisation:
-    def test_faster_than_independent_runs(self, medium_random_graph):
-        """Walking once for 6 sources must beat 6 independent runs (the
-        whole point); generous 1.2x margin to stay timing-robust."""
+    def test_walks_each_candidate_once_for_all_sources(self, medium_random_graph):
+        """Walking once for 6 sources is the whole point: the shared run
+        starts one walk per trial and walkable candidate, where 6
+        independent runs start one per source, trial and candidate.
+        Counted from the kernel's walk counter, so no clock is involved
+        (the wall-clock form of this check is a gate in
+        ``benchmarks/perf_smoke.py``)."""
+        from repro import obs
         from repro.core.crashsim import crashsim
 
         graph = medium_random_graph
         sources = list(range(6))
-        params = CrashSimParams(c=0.6, epsilon=0.05, n_r_override=400)
+        n_r = 400
+        params = CrashSimParams(c=0.6, epsilon=0.05, n_r_override=n_r)
+        walkable = graph.in_degrees() > 0
+        walks = obs.REGISTRY.get("repro_kernel_walks_total")
 
-        start = time.perf_counter()
-        crashsim_multi_source(graph, sources, params=params, seed=8)
-        shared = time.perf_counter() - start
+        previous = obs.set_enabled(True)
+        try:
+            before = walks.value
+            crashsim_multi_source(graph, sources, params=params, seed=8)
+            shared = walks.value - before
 
-        start = time.perf_counter()
-        for source in sources:
-            crashsim(graph, source, params=params, seed=8)
-        independent = time.perf_counter() - start
+            before = walks.value
+            for source in sources:
+                crashsim(graph, source, params=params, seed=8)
+            independent = walks.value - before
+        finally:
+            obs.set_enabled(previous)
 
-        assert shared < independent / 1.2, (shared, independent)
+        assert shared == n_r * int(walkable.sum())
+        assert independent == sum(
+            n_r * (int(walkable.sum()) - int(walkable[source]))
+            for source in sources
+        )
+        assert shared * 5 < independent, (shared, independent)
 
 
 class TestValidation:
