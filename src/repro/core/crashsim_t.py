@@ -13,11 +13,11 @@ the batch and the streaming forms cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 from repro.core.params import CrashSimParams
 from repro.core.queries import TemporalQuery
-from repro.core.streaming import CrashSimTStats, TemporalQuerySession
+from repro.core.streaming import CrashSimTStats, ScoreMap, TemporalQuerySession
 from repro.errors import ParameterError, QueryError
 from repro.graph.temporal import TemporalGraph
 from repro.rng import RngLike
@@ -39,7 +39,9 @@ class TemporalQueryResult:
         Node ids in the final ``Ω`` (sorted).
     history:
         Per processed snapshot, the ``{node: score}`` mapping of candidates
-        still alive *entering* that snapshot.
+        still alive *entering* that snapshot (every candidate for the
+        first).  Each is a read-only :class:`~repro.core.streaming.ScoreMap`
+        that builds its dict when first read.
     stats:
         Pruning instrumentation.
     """
@@ -47,7 +49,7 @@ class TemporalQueryResult:
     source: int
     interval: Tuple[int, int]
     survivors: Tuple[int, ...]
-    history: Tuple[Dict[int, float], ...]
+    history: Tuple[Mapping[int, float], ...]
     stats: CrashSimTStats
 
     @property
@@ -111,17 +113,17 @@ def crashsim_t(
         sampler=sampler,
     )
     session.push_snapshot(temporal.snapshot(start))
-    history: List[Dict[int, float]] = [dict(session._scores)]
+    history: List[ScoreMap] = [session._scores]
     for index in range(start + 1, stop):
         if not session.survivors:
             break
         # The stored delta is already canonical: no O(m) re-diff.
         session._advance(temporal.snapshot(index), temporal.delta(index))
-        history.append(dict(session._scores))
+        history.append(session._scores)
     return TemporalQueryResult(
         source=session.source,
         interval=(start, stop),
-        survivors=tuple(sorted(session.survivors)),
+        survivors=session.survivors,
         history=tuple(history),
         stats=session.stats,
     )

@@ -136,15 +136,25 @@ def edge_subgraph(graph: DiGraph, nodes: Sequence[int]) -> DiGraph:
 
 
 def count_candidate_edges(graph: DiGraph, nodes: Sequence[int]) -> int:
-    """``|E(Ω)|`` — arcs with both endpoints in the candidate set."""
-    mask = np.zeros(graph.num_nodes, dtype=bool)
-    node_array = np.asarray(list(nodes), dtype=np.int64)
+    """``|E(Ω)|`` — arcs with both endpoints in the candidate set.
+
+    ``nodes`` holds Ω's distinct ids, as an array or any int sequence.
+    Only Ω's own out-CSR rows are read: a cumulative sum of their
+    out-degrees lays their arc segments end to end, so the count costs
+    O(|Ω| + Σ out-degree over Ω), not a pass over every arc.
+    """
+    node_array = np.asarray(nodes, dtype=np.int64)
     if node_array.size == 0:
         return 0
+    mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[node_array] = True
-    sources = graph.arc_sources()
-    targets = graph.out_indices
-    return int(np.count_nonzero(mask[sources] & mask[targets]))
+    starts = graph.out_indptr[node_array]
+    degrees = graph.out_indptr[node_array + 1] - starts
+    # Entry j of the rows laid end to end is arc starts[r] + j - offsets[r]
+    # of the CSR, r being the row it falls in.
+    offsets = np.cumsum(degrees) - degrees
+    arcs = np.repeat(starts - offsets, degrees) + np.arange(int(degrees.sum()))
+    return int(np.count_nonzero(mask[graph.out_indices[arcs]]))
 
 
 def tree_unaffected_by_delta(
@@ -154,15 +164,16 @@ def tree_unaffected_by_delta(
     *,
     directed: bool = True,
 ) -> bool:
-    """Exact O(|Δ|) gate: does the snapshot delta leave ``tree`` intact?
+    """Exact gate: does the snapshot delta leave ``tree`` intact?
 
     A changed arc ``x → y`` alters the source's reverse reachable tree iff
     ``y`` carries occupancy mass at some step ``< l_max`` — only then does
     the walk's transition out of ``y`` (whose in-neighbour set changed)
-    participate in any propagated level.  Checking the tree's occupancy at
-    every changed head costs O(|Δ| · l_max) instead of the O(l_max · m)
-    rebuild, which is what makes per-snapshot tree reuse in CrashSim-T
-    essentially free on low-churn horizons.
+    participate in any propagated level.  A sparse tree binary-searches
+    the changed heads in each sorted level, O(l_max · |heads| · log
+    support), instead of the O(l_max · m) rebuild, which is what makes
+    per-snapshot tree reuse in CrashSim-T essentially free on low-churn
+    horizons.
 
     For undirected graphs each edge is two arcs, so both endpoints are
     checked.
@@ -336,7 +347,10 @@ class CandidateTreeCache:
 
     def retain(self, nodes: Iterable[int]) -> None:
         """Drop entries for candidates no longer alive (Ω only shrinks)."""
-        alive = {int(node) for node in nodes}
+        with self._lock:
+            if not self._entries:
+                return
+        alive = set(np.asarray(nodes, dtype=np.int64).tolist())
         dropped = 0
         with self._lock:
             for node in list(self._entries):

@@ -311,19 +311,25 @@ class SparseReverseTree:
     ) -> Optional[int]:
         """Shallowest level ``< limit`` occupying any of ``heads`` (or None).
 
-        One vectorised membership pass over the packed ``nodes`` array —
-        the head-occupancy scan of :func:`revreach_update` and the
-        ``tree_unaffected_by_delta`` gate.
+        Binary-searches the heads in each level's sorted nodes, shallowest
+        first: O(levels · |heads| · log support), never a pass over the
+        packed array.  The head-occupancy scan of :func:`revreach_update`
+        and the ``tree_unaffected_by_delta`` gate.
         """
         limit = self.l_max if limit is None else min(int(limit), self.l_max + 1)
         heads = np.asarray(heads, dtype=np.int64)
-        end = int(self.level_indptr[max(limit, 0)])
-        if end == 0 or heads.size == 0:
+        if heads.size == 0:
             return None
-        hits = np.nonzero(np.isin(self.nodes[:end], heads))[0]
-        if hits.size == 0:
-            return None
-        return int(np.searchsorted(self.level_indptr, hits[0], side="right") - 1)
+        bounds = self.level_indptr.tolist()
+        for step in range(max(limit, 0)):
+            nodes = self.nodes[bounds[step] : bounds[step + 1]]
+            if nodes.size == 0:
+                continue
+            at = np.searchsorted(nodes, heads)
+            np.minimum(at, nodes.size - 1, out=at)
+            if (nodes[at] == heads).any():
+                return step
+        return None
 
     # -- equality -------------------------------------------------------
 

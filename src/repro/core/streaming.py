@@ -37,8 +37,9 @@ snapshot) regardless of how many snapshots have streamed through.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.temporal import EdgeDelta
 from repro.rng import RngLike, ensure_rng
 
-__all__ = ["CrashSimTStats", "TemporalQuerySession"]
+__all__ = ["CrashSimTStats", "ScoreMap", "TemporalQuerySession"]
 
 Edge = Tuple[int, int]
 
@@ -90,6 +91,44 @@ class CrashSimTStats:
             "candidate_trees_cached": self.candidate_trees_cached,
             "candidate_trees_advanced": self.candidate_trees_advanced,
         }
+
+
+class ScoreMap(Mapping):
+    """``{node: score}`` over two aligned vectors, built on first read.
+
+    ``nodes`` is a sorted int64 array and ``values`` the float64 scores
+    aligned with it; both are made read-only.  The session keeps its
+    scores this way, and :func:`~repro.core.crashsim_t.crashsim_t`'s
+    ``history`` holds one per snapshot, so a transition never builds a
+    dict; the first lookup or iteration builds one from Python ``int``
+    keys and ``float`` values, and later reads reuse it.
+    """
+
+    __slots__ = ("nodes", "values", "_dict")
+
+    def __init__(self, nodes: np.ndarray, values: np.ndarray):
+        nodes.setflags(write=False)
+        values.setflags(write=False)
+        self.nodes = nodes
+        self.values = values
+        self._dict: Optional[Dict[int, float]] = None
+
+    def _mapping(self) -> Dict[int, float]:
+        if self._dict is None:
+            self._dict = dict(zip(self.nodes.tolist(), self.values.tolist()))
+        return self._dict
+
+    def __getitem__(self, node: int) -> float:
+        return self._mapping()[node]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return int(self.nodes.size)
+
+    def __repr__(self) -> str:
+        return f"ScoreMap({self._mapping()!r})"
 
 
 def _canonical_arcs(arcs: Iterable[Edge], directed: bool) -> frozenset:
@@ -169,8 +208,12 @@ class TemporalQuerySession:
         self._rng = ensure_rng(seed)
         self._graph: Optional[DiGraph] = None
         self._tree = None
-        self._scores: Dict[int, float] = {}
-        self._omega: List[int] = []
+        # The last transition's scores over the Ω it entered with (every
+        # candidate after the first snapshot), and the mask of that Ω
+        # which survived it: the current Ω is ``_scores.nodes[_alive]``.
+        self._scores = ScoreMap(np.empty(0, np.int64), np.empty(0, np.float64))
+        self._alive = np.empty(0, dtype=bool)
+        self._survivors: Tuple[int, ...] = ()
         self._candidate_trees = CandidateTreeCache()
         self.snapshots_seen = 0
         self.stats = CrashSimTStats()
@@ -185,13 +228,19 @@ class TemporalQuerySession:
 
     @property
     def survivors(self) -> Tuple[int, ...]:
-        """Ω after the most recent snapshot (empty before the first)."""
-        return tuple(self._omega)
+        """Ω after the most recent snapshot (empty before the first).
+
+        A sorted tuple of ``int``, built once per snapshot that changes Ω:
+        while pushes leave Ω as it is, the same tuple object comes back.
+        """
+        return self._survivors
 
     @property
     def scores(self) -> Dict[int, float]:
         """Latest SimRank estimates of the still-alive candidates."""
-        return {node: self._scores[node] for node in self._omega}
+        nodes = self._scores.nodes[self._alive]
+        values = self._scores.values[self._alive]
+        return dict(zip(nodes.tolist(), values.tolist()))
 
     # ------------------------------------------------------------------
     # Feeding the stream
@@ -247,15 +296,16 @@ class TemporalQuerySession:
             seed=self._rng,
             sampler=self.sampler,
         )
+        alive = np.asarray(self.query.initial_mask(result.scores), dtype=bool)
         self._graph = graph
         self._tree = result.tree
-        self._scores = result.as_dict()
-        mask = self.query.initial_mask(result.scores)
-        self._omega = [int(v) for v in result.candidates[mask]]
+        self._scores = ScoreMap(result.candidates, result.scores)
+        self._alive = alive
+        self._survivors = tuple(result.candidates[alive].tolist())
         self.snapshots_seen = 1
         self.stats.snapshots_processed += 1
         self.stats.candidates_recomputed += result.candidates.size
-        return self.survivors
+        return self._survivors
 
     def _advance(self, graph: DiGraph, delta: EdgeDelta) -> Tuple[int, ...]:
         """Process one transition **transactionally**.
@@ -279,10 +329,12 @@ class TemporalQuerySession:
 
     def _advance_or_raise(self, graph: DiGraph, delta: EdgeDelta) -> Tuple[int, ...]:
         next_seen = self.snapshots_seen + 1
-        if not self._omega:
+        if not self._survivors:
             self._graph = graph
             self.snapshots_seen = next_seen
-            return self.survivors
+            return self._survivors
+        omega = self._scores.nodes[self._alive]
+        previous = self._scores.values[self._alive]
         # A reweighted arc changes its head's in-block as an added one does:
         # both reach the tree updates as changed heads.
         grown = delta.added | delta.reweighted
@@ -298,36 +350,36 @@ class TemporalQuerySession:
         n_r = self.params.n_r(max(graph.num_nodes, 2))
 
         candidate_trees = self._candidate_trees.clone()
-        residual: Set[int] = set(self._omega)
-        carried: Set[int] = set()
+        # Over Ω: the candidates to recompute; the rest carry their score.
+        residual = np.ones(omega.size, dtype=bool)
         delta_pruned = difference_pruned = False
         if stable:
-            edge_count = max(count_candidate_edges(graph, self._omega), 1)
+            edge_count = max(count_candidate_edges(graph, omega), 1)
             if (
                 self.use_delta_pruning
                 and not delta.is_empty()
-                and delta.num_changed < len(self._omega) * n_r / edge_count
+                and delta.num_changed < omega.size * n_r / edge_count
             ):
                 delta_pruned = True
                 changed = delta.changed
                 affected = affected_area(
                     graph, changed, self.params.l_max
                 ) | affected_area(self._graph, changed, self.params.l_max)
-                exempt = residual - affected
-                carried |= exempt
-                residual -= exempt
+                residual = np.isin(
+                    omega, np.fromiter(affected, np.int64, len(affected))
+                )
             elif self.use_delta_pruning and delta.is_empty():
                 # Identical snapshots: every candidate's estimate carries.
                 delta_pruned = True
-                carried |= residual
-                residual = set()
-            if self.use_difference_pruning and residual and edge_count < n_r:
+                residual[:] = False
+            if self.use_difference_pruning and residual.any() and edge_count < n_r:
                 # Full-graph tree comparison; the paper's E_Ω restriction
                 # is unsound (DESIGN.md §2.6).  Candidate trees come from
                 # the cloned cache: reused across pushes, advanced
                 # incrementally over the delta, committed below.
                 difference_pruned = True
-                for node in sorted(residual):
+                for index in np.flatnonzero(residual).tolist():
+                    node = int(omega[index])
                     prev_tree = candidate_trees.tree_for(
                         node,
                         next_seen - 1,
@@ -345,31 +397,28 @@ class TemporalQuerySession:
                         directed=graph.directed,
                     )
                     if cur_tree is prev_tree or cur_tree.same_as(prev_tree):
-                        carried.add(node)
-                        residual.discard(node)
+                        residual[index] = False
 
         faults.inject("advance", next_seen)
-        scores_cur: Dict[int, float] = {
-            node: self._scores[node] for node in carried
-        }
-        if residual:
+        values = previous.copy()
+        recomputed = int(np.count_nonzero(residual))
+        if recomputed:
             partial = crashsim(
                 graph,
                 self.source,
-                candidates=sorted(residual),
+                candidates=omega[residual],
                 params=self.params,
                 tree=tree_cur,
                 seed=self._rng,
                 sampler=self.sampler,
             )
-            scores_cur.update(partial.as_dict())
+            values[residual] = partial.scores
 
-        ordered = np.array(sorted(self._omega), dtype=np.int64)
-        prev_vector = np.array([self._scores[int(v)] for v in ordered])
-        cur_vector = np.array([scores_cur[int(v)] for v in ordered])
-        keep = self.query.step_mask(prev_vector, cur_vector)
-        omega = [int(v) for v in ordered[keep]]
-        candidate_trees.retain(omega)
+        alive = np.asarray(self.query.step_mask(previous, values), dtype=bool)
+        survivors = self._survivors
+        if not alive.all():
+            survivors = tuple(omega[alive].tolist())
+        candidate_trees.retain(omega[alive])
 
         # --- Commit: the push can no longer fail past this point.
         stats = self.stats
@@ -378,15 +427,16 @@ class TemporalQuerySession:
         stats.source_tree_stable += int(stable)
         stats.delta_pruning_applied += int(delta_pruned)
         stats.difference_pruning_applied += int(difference_pruned)
-        stats.candidates_carried += len(carried)
-        stats.candidates_recomputed += len(residual)
+        stats.candidates_carried += omega.size - recomputed
+        stats.candidates_recomputed += recomputed
         stats.candidate_trees_built = candidate_trees.builds
         stats.candidate_trees_cached = candidate_trees.hits
         stats.candidate_trees_advanced = candidate_trees.advances
-        self._omega = omega
+        self._scores = ScoreMap(omega, values)
+        self._alive = alive
+        self._survivors = survivors
         self._candidate_trees = candidate_trees
-        self._scores = scores_cur
         self._graph = graph
         self._tree = tree_cur
         self.snapshots_seen = next_seen
-        return self.survivors
+        return survivors

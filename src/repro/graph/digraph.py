@@ -173,40 +173,73 @@ def _transpose_keys(n: int, keys: np.ndarray) -> np.ndarray:
     return np.sort(cols * n + rows)
 
 
-def _contains(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Membership mask of ``queries`` in the ascending ``sorted_keys``."""
-    at = np.searchsorted(sorted_keys, queries)
-    found = at < sorted_keys.size
-    found[found] = sorted_keys[at[found]] == queries[found]
-    return found
+def _search_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each ``cols[i]`` sits in row ``rows[i]`` of a sorted CSR.
+
+    A vectorised binary search inside each row's ``indptr`` segment: the
+    insertion point of every column (its position when present) and
+    whether it is present.  The loop runs ``log2`` of the longest searched
+    row times and reads no other row, so ``q`` queries cost
+    O(q log d), not O(m).
+    """
+    lo = indptr[rows]
+    end = indptr[rows + 1]
+    hi = end.copy()
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            break
+        mid = (lo + hi) >> 1
+        right = open_ & (indices[np.where(open_, mid, 0)] < cols)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+    found = lo < end
+    found[found] = indices[lo[found]] == cols[found]
+    return lo, found
 
 
 def _splice(
     n: int,
-    keys: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     weights: Optional[np.ndarray],
-    remove: np.ndarray,
+    drop: np.ndarray,
     insert: np.ndarray,
     reset: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(indptr, indices, weights) of a CSR after an arc-key splice.
+    """(indptr, indices, weights) of a CSR after an arc splice.
 
-    ``keys`` are the CSR's ascending entry keys; ``remove`` (present keys)
-    are deleted, then the ascending new keys ``insert`` go in with weight
-    1.0, and surviving keys in ``reset`` get weight 1.0.  The arrays match
-    what :func:`_csr_from_pairs` builds from the resulting arc list.
+    ``drop``, ``insert`` and ``reset`` are ascending arc keys
+    ``row * n + col`` in this CSR's orientation: present arcs to delete,
+    absent arcs to insert with weight 1.0, and present arcs whose weight
+    becomes 1.0.  :func:`_search_rows` places them; then one
+    ``np.delete`` and one ``np.insert`` per array, and ``indptr`` shifts
+    by the per-row count.  The arrays match what :func:`_csr_from_pairs`
+    builds from the resulting arc list.
     """
-    drop = np.searchsorted(keys, remove)
-    keys = np.delete(keys, drop)
-    at = np.searchsorted(keys, insert)
-    keys = np.insert(keys, at, insert)
+    rows, cols = np.divmod(np.concatenate([drop, insert, reset]), n)
+    split = (drop.size, drop.size + insert.size)
+    at, _ = _search_rows(indptr, indices, rows, cols)
+    drop_at, insert_at, reset_at = np.split(at, split)
+    drop_rows, insert_rows, _ = np.split(rows, split)
+    inserted = np.split(cols, split)[1].astype(np.int32)
+    # Positions in the array that the deletion leaves.
+    insert_at = insert_at - np.searchsorted(drop_at, insert_at)
+    indices = np.insert(np.delete(indices, drop_at), insert_at, inserted)
     if weights is not None:
-        weights = np.insert(np.delete(weights, drop), at, 1.0)
-        weights[np.searchsorted(keys, reset)] = 1.0
-    rows = keys // n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, (keys - rows * n).astype(np.int32), weights
+        weights = np.delete(weights, drop_at)
+        weights[reset_at - np.searchsorted(drop_at, reset_at)] = 1.0
+        weights = np.insert(weights, insert_at, 1.0)
+    # indptr[i] moves by the net count of changed entries in rows < i: a
+    # step function over the sorted changed rows, laid out by np.repeat.
+    rows = np.concatenate([insert_rows, drop_rows])
+    order = np.argsort(rows, kind="stable")
+    steps = np.repeat(np.array([1, -1]), [insert_rows.size, drop_rows.size])[order]
+    bounds = np.concatenate([[0], rows[order] + 1, [n + 1]])
+    shift = np.repeat(np.concatenate([[0], np.cumsum(steps)]), np.diff(bounds))
+    return indptr + shift, indices, weights
 
 
 class DiGraph:
@@ -436,10 +469,12 @@ class DiGraph:
     ) -> "DiGraph":
         """The next snapshot: this graph with ``removed``, then ``added``.
 
-        Both CSR directions (and the weights) are spliced by arc key
-        ``row * n + col``: a binary search over the already-sorted arrays,
-        one delete and one insert — O(m + Δ log m) array work and no sort
-        over ``m``.  The result is bit-identical to rebuilding the graph
+        Both CSR directions (and the weights) are spliced in place of a
+        rebuild: a vectorised binary search inside each changed row's
+        ``indptr`` segment finds every arc, then one delete and one insert
+        per array and an ``indptr`` shift by the per-row count — O(Δ log d)
+        search plus the O(n + m) copies, with no key array or sort over
+        ``m``.  The result is bit-identical to rebuilding the graph
         through :class:`~repro.graph.GraphBuilder` with every removal
         applied before any addition:
 
@@ -466,28 +501,36 @@ class DiGraph:
             raise ParameterError(
                 f"delta edge ({s}, {t}) has an endpoint outside [0, {n})"
             )
-        old_keys = _csr_keys(n, self._out_indptr, self._out_indices)
-
-        # Removals, in order: each must name a present, not yet removed edge.
+        # Removals, in order: each must name a present, not yet removed
+        # edge.  One row search answers that and which additions are
+        # already present.
         edge_keys = self._edge_keys(removed)
         first = np.zeros(edge_keys.size, dtype=bool)
         first[np.unique(edge_keys, return_index=True)[1]] = True
-        present = first & _contains(old_keys, edge_keys)
+        add_keys = self._arc_keys_of(added[added[:, 0] != added[:, 1]])
+        rows, cols = np.divmod(np.concatenate([edge_keys, add_keys]), n)
+        _, found = _search_rows(self._out_indptr, self._out_indices, rows, cols)
+        present = first & found[: edge_keys.size]
         if not present.all():
             s, t = removed[int(np.argmin(present))]
             raise EdgeNotFoundError(int(s), int(t))
-        remove_keys = self._arc_keys_of(removed)
 
-        # Additions without self-loops or repeats, split into new arcs and
-        # re-adds of arcs that outlive the removals.
-        add_keys = self._arc_keys_of(added[added[:, 0] != added[:, 1]])
-        kept = _contains(old_keys, add_keys) & ~_contains(remove_keys, add_keys)
-        changes = (remove_keys, add_keys[~kept], add_keys[kept])
-
-        out_csr = _splice(n, old_keys, self._out_weights, *changes)
+        # A present arc that is added stays in place with weight 1.0 —
+        # removed first or not, as the builder leaves it; an absent one is
+        # inserted.
+        readded = found[edge_keys.size :]
+        changes = (
+            np.setdiff1d(self._arc_keys_of(removed), add_keys, assume_unique=True),
+            add_keys[~readded],
+            add_keys[readded],
+        )
+        out_csr = _splice(
+            n, self._out_indptr, self._out_indices, self._out_weights, *changes
+        )
         in_csr = _splice(
             n,
-            _csr_keys(n, self._in_indptr, self._in_indices),
+            self._in_indptr,
+            self._in_indices,
             self._in_weights,
             *(_transpose_keys(n, keys) for keys in changes),
         )

@@ -6,7 +6,7 @@ from repro.metrics.accuracy import (
     result_set_precision,
     top_k_precision,
 )
-from repro.metrics.timing import Timer, TimingStats, measure
+from repro.metrics.timing import Timer, measure
 
 __all__ = [
     "max_error",
@@ -14,6 +14,5 @@ __all__ = [
     "result_set_precision",
     "top_k_precision",
     "Timer",
-    "TimingStats",
     "measure",
 ]

@@ -2,19 +2,15 @@
 
 The paper reports *response time* (for index-based algorithms: indexing
 time plus computation time — §V-A).  :class:`Timer` is a context manager;
-:func:`measure` wraps a callable; :class:`TimingStats` aggregates repeated
-measurements into the mean/min/max rows the report printers consume.
+:func:`measure` wraps a callable.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Tuple
 
-from repro.errors import ParameterError
-
-__all__ = ["Timer", "TimingStats", "measure"]
+__all__ = ["Timer", "measure"]
 
 
 class Timer:
@@ -44,78 +40,3 @@ def measure(fn: Callable[[], Any]) -> Tuple[Any, float]:
     with Timer() as timer:
         result = fn()
     return result, timer.elapsed
-
-
-@dataclass
-class TimingStats:
-    """Aggregate of repeated timings (seconds)."""
-
-    samples: List[float] = field(default_factory=list)
-
-    def add(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ParameterError(f"negative duration {seconds}")
-        self.samples.append(float(seconds))
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.samples else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, q: float) -> float:
-        """The q-th percentile (linear interpolation between samples).
-
-        >>> stats = TimingStats()
-        >>> for s in (1.0, 2.0, 3.0, 4.0):
-        ...     stats.add(s)
-        >>> stats.percentile(50)
-        2.5
-        >>> stats.percentile(100)
-        4.0
-        """
-        if not 0 <= q <= 100:
-            raise ParameterError(f"percentile must be in [0, 100], got {q}")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = rank - low
-        return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p90(self) -> float:
-        return self.percentile(90)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_s": self.mean,
-            "min_s": self.minimum,
-            "max_s": self.maximum,
-            "total_s": self.total,
-        }

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pruning import (
     affected_area,
@@ -109,6 +111,23 @@ class TestCountCandidateEdges:
             count_candidate_edges(paper_graph, list(paper_graph.nodes()))
             == paper_graph.num_arcs
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+                st.sets(st.integers(0, n - 1)),
+            )
+        )
+    )
+    def test_matches_arc_by_arc_count(self, case):
+        n, edges, omega = case
+        graph = DiGraph.from_edges(n, edges)
+        expected = sum(1 for s, t in graph.edges() if s in omega and t in omega)
+        nodes = np.array(sorted(omega), dtype=np.int64)
+        assert count_candidate_edges(graph, nodes) == expected
 
 
 class TestTreeUnchanged:

@@ -8,7 +8,7 @@ computed through it is the *same float* the dense path produces.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.core.crashsim import crashsim
 from repro.core.params import CrashSimParams
@@ -219,6 +219,44 @@ class TestTreeSurface:
         tree = revreach_levels(graph, 0, 3, 0.6)
         assert tree.nnz == 4
         assert tree.support().tolist() == [0, 1, 2, 3]
+
+
+def first_level_oracle(tree, heads, limit):
+    """One ``np.isin`` over the packed ``nodes`` of the levels below ``limit``."""
+    limit = tree.l_max if limit is None else min(int(limit), tree.l_max + 1)
+    end = int(tree.level_indptr[max(limit, 0)])
+    hits = np.flatnonzero(np.isin(tree.nodes[:end], heads))
+    if hits.size == 0:
+        return None
+    return int(np.searchsorted(tree.level_indptr, hits[0], side="right") - 1)
+
+
+@st.composite
+def tree_heads_limit(draw):
+    num_nodes = draw(st.integers(1, 12))
+    l_max = draw(st.integers(0, 6))
+    # Some levels empty, the rest sorted distinct nodes with positive mass.
+    levels = []
+    for _ in range(l_max + 1):
+        nodes = draw(st.sets(st.integers(0, num_nodes - 1), max_size=num_nodes))
+        nodes = np.array(sorted(nodes), dtype=np.int64)
+        levels.append((nodes, np.full(nodes.size, 0.5)))
+    tree = SparseReverseTree.from_levels(0, 0.6, l_max, "corrected", num_nodes, levels)
+    # Heads may repeat and may lie outside the support or the node range.
+    heads = draw(st.lists(st.integers(0, num_nodes + 2), max_size=6))
+    limit = draw(st.sampled_from([None, 0, 1, l_max, l_max + 1]))
+    return tree, np.array(heads, dtype=np.int64), limit
+
+
+class TestFirstLevelContaining:
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(tree_heads_limit())
+    def test_matches_isin_oracle(self, case):
+        tree, heads, limit = case
+        assert tree.first_level_containing(heads, limit=limit) == first_level_oracle(
+            tree, heads, limit
+        )
 
 
 class TestScoresAcrossRepresentations:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.crashsim import crashsim
 from repro.core.crashsim_t import crashsim_t
 from repro.core.params import CrashSimParams
 from repro.core.queries import CompositeQuery, ThresholdQuery, TrendQuery
 from repro.core.streaming import TemporalQuerySession
 from repro.errors import EdgeNotFoundError, ParameterError, TemporalError
+from repro.faults import InjectedFault
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import evolve_snapshots, preferential_attachment
 
@@ -359,3 +361,77 @@ class TestStreamingValidation:
         session = TemporalQuerySession(0, ThresholdQuery(theta=0.1))
         assert session.survivors == ()
         assert not session.started
+
+
+class TestSessionContract:
+    """What a caller reads off a session: types, sharing, rollback."""
+
+    @staticmethod
+    def shrinking_stream():
+        """An undirected graph, then the same graph less a third of its
+        edges: at θ = 0.01 the second snapshot drops some survivors."""
+        base = preferential_attachment(40, 2, directed=False, seed=1)
+        edges = sorted(base.edges())
+        thinner = base.with_delta(removed=[e for e in edges[::3] if e[0] < e[1]])
+        return base, thinner
+
+    @staticmethod
+    def session():
+        return TemporalQuerySession(
+            3, ThresholdQuery(theta=0.01), params=PARAMS, seed=5
+        )
+
+    def test_survivors_and_scores_are_plain_python(self):
+        base, thinner = self.shrinking_stream()
+        session = self.session()
+        for graph in (base, thinner):
+            survivors = session.push_snapshot(graph)
+            assert survivors == session.survivors
+            assert type(survivors) is tuple
+            assert all(type(node) is int for node in survivors)
+            assert list(survivors) == sorted(set(survivors))
+            scores = session.scores
+            assert type(scores) is dict
+            assert sorted(scores) == list(survivors)
+            assert all(type(node) is int for node in scores)
+            assert all(type(score) is float for score in scores.values())
+
+    def test_same_tuple_while_omega_unchanged(self):
+        base, thinner = self.shrinking_stream()
+        session = self.session()
+        first = session.push_snapshot(base)
+        assert session.push_snapshot(base) is first
+        assert session.push_delta() is first
+        assert session.survivors is first
+        shrunk = session.push_snapshot(thinner)
+        assert 0 < len(shrunk) < len(first)
+        assert shrunk is not first
+        assert session.survivors is shrunk
+
+    def test_history_zero_is_crashsim_bit_for_bit(self):
+        base = preferential_attachment(30, 2, directed=True, seed=6)
+        temporal = evolve_snapshots(base, 3, churn_rate=0.05, seed=2)
+        result = crashsim_t(
+            temporal, 4, ThresholdQuery(theta=0.02), params=PARAMS, seed=13
+        )
+        first = crashsim(temporal.snapshot(0), 4, params=PARAMS, seed=13)
+        history = result.history[0]
+        assert len(history) == temporal.num_nodes - 1
+        as_hex = {node: float.hex(score) for node, score in history.items()}
+        assert as_hex == {
+            node: float.hex(score) for node, score in first.as_dict().items()
+        }
+
+    def test_rollback_restores_survivors_scores_and_rng(self):
+        base, thinner = self.shrinking_stream()
+        session = self.session()
+        session.push_snapshot(base)
+        survivors, scores = session.survivors, session.scores
+        rng_state = session._rng.bit_generator.state
+        with faults.active({"advance": {"2": {"kind": "raise"}}}):
+            with pytest.raises(InjectedFault):
+                session.push_snapshot(thinner)
+        assert session.survivors == survivors
+        assert session.scores == scores
+        assert session._rng.bit_generator.state == rng_state
+        assert session.snapshots_seen == 1

@@ -166,6 +166,50 @@ class TestWithDeltaMatchesBuilder:
             graph.with_delta(added=[(0, 3)], removed=[(1, 2)])
 
 
+#: (n, edges, directed, weights, added, removed) at the row search's edges.
+EDGE_ROWS = {
+    "first-row": (5, [(0, 1), (0, 3), (2, 0)], True, None, [(0, 2), (0, 4)], [(0, 3)]),
+    "last-row": (
+        5, [(4, 0), (4, 2), (1, 4)], True, None, [(4, 1), (3, 4)], [(4, 2), (1, 4)]
+    ),
+    "first-and-last-undirected": (5, [(0, 4), (0, 1)], False, None, [(4, 3)], [(4, 0)]),
+    "only-arc-of-a-row": (4, [(1, 2), (2, 3), (3, 0)], True, None, [], [(1, 2)]),
+    "only-arc-of-the-graph": (3, [(2, 1)], True, None, [], [(2, 1)]),
+    "into-an-empty-row": (
+        5, [(0, 1), (3, 4)], True, None, [(2, 4), (2, 0), (1, 3)], []
+    ),
+    "empty-row-undirected": (4, [(0, 1)], False, None, [(2, 3), (3, 0)], []),
+    "no-arcs": (4, [], True, None, [(3, 0), (0, 3), (1, 2)], []),
+    "no-arcs-no-delta": (4, [], False, None, [], []),
+    "no-arcs-undirected": (4, [], False, None, [(3, 0), (1, 2)], []),
+    "weighted-readds": (
+        4,
+        [(0, 1), (1, 2), (2, 3), (3, 0)],
+        True,
+        [4.0, 2.0, 0.5, 3.0],
+        [(0, 1), (1, 2), (1, 3), (0, 1)],
+        [(1, 2), (3, 0)],
+    ),
+    "weighted-readds-undirected": (
+        5,
+        [(0, 1), (1, 2), (3, 4)],
+        False,
+        [4.0, 2.0, 0.5],
+        [(1, 0), (2, 1), (4, 2)],
+        [(1, 2)],
+    ),
+}
+
+
+class TestRowSearchEdges:
+    @pytest.mark.parametrize("row", EDGE_ROWS.values(), ids=EDGE_ROWS.keys())
+    def test_matches_builder(self, row):
+        n, edges, directed, weights, added, removed = row
+        graph = DiGraph.from_edges(n, edges, directed=directed, weights=weights)
+        got = graph.with_delta(added, removed)
+        assert_same_arrays(got, rebuilt(graph, added, removed))
+
+
 @st.composite
 def temporal_case(draw):
     n = draw(st.integers(2, 6))

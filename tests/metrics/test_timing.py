@@ -4,8 +4,7 @@ import time
 
 import pytest
 
-from repro.errors import ParameterError
-from repro.metrics.timing import Timer, TimingStats, measure
+from repro.metrics.timing import Timer, measure
 
 
 class TestTimer:
@@ -36,32 +35,3 @@ class TestMeasure:
         result, elapsed = measure(lambda: 21 * 2)
         assert result == 42
         assert elapsed >= 0.0
-
-
-class TestTimingStats:
-    def test_aggregates(self):
-        stats = TimingStats()
-        for value in (0.1, 0.2, 0.3):
-            stats.add(value)
-        assert stats.count == 3
-        assert stats.total == pytest.approx(0.6)
-        assert stats.mean == pytest.approx(0.2)
-        assert stats.minimum == pytest.approx(0.1)
-        assert stats.maximum == pytest.approx(0.3)
-
-    def test_empty(self):
-        stats = TimingStats()
-        assert stats.mean == 0.0
-        assert stats.minimum == 0.0
-        assert stats.maximum == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            TimingStats().add(-1.0)
-
-    def test_as_row(self):
-        stats = TimingStats()
-        stats.add(1.0)
-        row = stats.as_row()
-        assert row["count"] == 1
-        assert row["mean_s"] == 1.0
